@@ -3,9 +3,9 @@
 Given the gradients of several objectives at a point, the direction that
 decreases all of them at once is found by projecting the origin onto the
 convex hull of the gradients.  This script walks through the three
-solvers of that subproblem (closed form for two gradients, projected
-gradient for any number, brute-force grid as a referee) and checks the
-optimality conditions by hand.
+solvers of that subproblem (closed form for two gradients, Wolfe's
+active-set method for any number, brute-force grid as a referee) and
+checks the optimality conditions by hand.
 """
 
 import numpy as np
@@ -37,12 +37,13 @@ print("  direction    ", sol.descent_direction())
 for i, g in enumerate((g1, g2)):
     print(f"  slope along -g_s for objective {i + 1}:", float(g @ -sol.gradient))
 
-# The same subproblem through the iterative solver used for m > 2.
+# The same subproblem through the active-set solver used for m > 2.
 G = np.vstack([g1, g2])
-iterative = min_norm_element(G, tol=1e-12)
-print("\niterative solver agrees:")
-print("  |omega difference| =", abs(iterative.omega - sol.omega))
-print("  kkt residual       =", kkt_residual(G, iterative.weights))
+active_set = min_norm_element(G, tol=1e-12)
+print("\nactive-set solver agrees:")
+print("  |omega difference| =", abs(active_set.omega - sol.omega))
+print("  kkt residual       =", kkt_residual(G, active_set.weights))
+print("  active-set steps   =", active_set.iterations)
 
 # Three gradients: the solution lives on the edge spanned by the first
 # two; the third points away from the origin and gets zero weight.

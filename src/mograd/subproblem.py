@@ -11,14 +11,16 @@ points, and -g is a direction along which every objective instantaneously
 decreases whenever omega > 0.
 
 Three routes are provided: a closed form for two objectives
-(:func:`min_norm_two`), a projected-gradient solver with active-set
-polishing for any m (:func:`min_norm_element`), and an exhaustive grid
-search used as a test oracle (:func:`brute_force_min_norm`).
+(:func:`min_norm_two`), Wolfe's active-set min-norm-point method for any m
+(:func:`min_norm_element`), which is exact and ends in finitely many
+steps, and an exhaustive grid search used as a test oracle
+(:func:`brute_force_min_norm`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +31,10 @@ class UnsupportedSizeError(InputError):
     """Instance is larger than the routine is designed to handle."""
 
 
-# Iteration cap for the projected-gradient route.
-MAX_ITERATIONS = 100_000
-
-# lam entries at or below this are treated as inactive.
-_SUPPORT_TOL = 1e-12
+# Active-set steps per objective after which min_norm_element takes itself
+# to be cycling.  Exact arithmetic never reaches it; rounding can, when tol
+# asks for more precision than the Gram matrix carries.
+_STEPS_PER_ROW = 10
 
 
 @dataclass
@@ -49,18 +50,25 @@ class SubproblemSolution:
         descent direction.
     omega : float
         Squared norm of ``gradient``; zero iff the point is Pareto critical.
+    iterations : int
+        Active-set steps of :func:`min_norm_element`, rows added and rows
+        dropped alike (0 for closed forms).
+    jacobian : ndarray, shape (m, n)
+        The matrix G the solution was computed for.
     kkt_residual : float
         Normalized optimality residual of ``weights`` (see
-        :func:`kkt_residual`).
-    iterations : int
-        Iterations spent by the numerical solver (0 for closed forms).
+        :func:`kkt_residual`), computed from ``jacobian`` on first access.
     """
 
     weights: np.ndarray
     gradient: np.ndarray
     omega: float
-    kkt_residual: float
     iterations: int
+    jacobian: np.ndarray = field(repr=False)
+
+    @cached_property
+    def kkt_residual(self):
+        return kkt_residual(self.jacobian, self.weights)
 
     def descent_direction(self):
         """The common descent direction -gradient."""
@@ -88,7 +96,7 @@ def _finish(G, lam, iterations):
     lam = lam / lam.sum()
     g = G.T @ lam
     omega = float(g @ g)
-    return SubproblemSolution(lam, g, omega, kkt_residual(G, lam), iterations)
+    return SubproblemSolution(lam, g, omega, iterations, G)
 
 
 def kkt_residual(G, weights):
@@ -144,105 +152,96 @@ def min_norm_two(g1, g2):
     return _finish(G, np.array([lam1, 1.0 - lam1]), 0)
 
 
-def _active_set_polish(M, support):
-    """Solve the equality-constrained QP restricted to ``support`` rows.
+def _affine_minimizer(M):
+    """Weights of the min-norm point of the affine hull of rows with Gram ``M``.
 
-    Stationarity of ||G^T lam||^2 with sum(lam) == 1 on a fixed support is
-    the linear system [2*M_SS, 1; 1^T, 0] [lam; nu] = [0; 1].  Returns the
-    full-length weight vector, or None if the solve leaves the simplex.
+    Stationarity of lam^T M lam with sum(lam) == 1 is the linear system
+    [M, 1; 1^T, 0] [lam; nu] = [0; 1].  Least squares also covers affinely
+    dependent rows, whose system is singular.
     """
-    s = np.flatnonzero(support)
-    k = s.size
-    A = np.zeros((k + 1, k + 1))
-    A[:k, :k] = 2.0 * M[np.ix_(s, s)]
-    A[:k, k] = 1.0
-    A[k, :k] = 1.0
+    k = M.shape[0]
+    A = np.ones((k + 1, k + 1))
+    A[:k, :k] = M
+    A[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    lam_s = sol[:k]
-    if lam_s.min() < -1e-12 or abs(lam_s.sum() - 1.0) > 1e-8:
-        return None
-    lam = np.zeros(M.shape[0])
-    lam[s] = np.maximum(lam_s, 0.0)
-    return lam / lam.sum()
-
-
-def _stop_residual(M, lam, tol):
-    """Worst violation of the two KKT conditions, relative to 1 + omega.
-
-    Stricter than the aggregate :func:`kkt_residual`: both the hull
-    inequality and the complementarity equalities on the support
-    (entries above ``tol``) must hold individually.
-    """
-    inner = M @ lam
-    sq = float(lam @ inner)
-    worst = max(0.0, float(sq - inner.min()))
-    active = lam > tol
-    comp = float(np.abs(inner[active] - sq).max()) if active.any() else 0.0
-    return max(worst, comp) / (1.0 + sq)
+    return np.linalg.lstsq(A, rhs, rcond=None)[0][:k]
 
 
 def min_norm_element(G, tol=1e-10, weights0=None):
-    """Minimize ||G^T lam||^2 over the unit simplex by projected gradient.
+    """Minimize ||G^T lam||^2 over the unit simplex by Wolfe's method.
 
-    Fixed step 1/(2 sigma_max(G G^T)), cold started at the uniform weights
-    (or ``weights0``), with periodic active-set polishing on the current
-    support.  Stops once the KKT residual drops to ``tol``.
+    Wolfe's min-norm-point algorithm (P. Wolfe, "Finding the nearest point
+    in a polytope", Math. Programming 11, 1976) on the Gram matrix
+    M = G G^T, with G first divided by its largest absolute entry so that
+    the steps and the stopping test do not depend on the scale of G.  The
+    support starts at the shortest row (or at the support of ``weights0``).
+    A minor step moves lam to the min-norm point of the support's affine
+    hull; when that point leaves the simplex, lam stops at the boundary
+    and the rows whose weight reached zero are dropped.  Once lam is that
+    point, a major step adds the row minimizing (M lam)_j.  The method ends
+    when every row has (M lam)_j >= lam^T M lam - tol * max_j M_jj, or when
+    the minimizing row is already in the support, so that no row misses
+    that bound by more than rounding.  In exact arithmetic it ends after
+    finitely many steps, at the exact minimizer.
 
-    Raises :class:`ConvergenceError` carrying the best iterate if the
-    iteration cap is reached, and :class:`InputError` for bad inputs.
+    Raises :class:`ConvergenceError` carrying the last iterate (the norm
+    never increases along the iterates) if the steps exceed ten per row,
+    which only rounding can cause, and :class:`InputError` for bad inputs.
     """
     if not (np.isscalar(tol) and np.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be a positive number, got {tol}")
     G = _check_matrix(G)
     m = G.shape[0]
-    if m == 1:
-        return _finish(G, np.ones(1), 0)
-
-    M = G @ G.T
-    sigma = float(np.linalg.eigvalsh(M).max())
-    if sigma <= 0.0:
-        # All-zero gradients: every convex combination is the zero vector.
-        return _finish(G, np.full(m, 1.0 / m), 0)
-    step = 1.0 / (2.0 * sigma)
-
-    if weights0 is None:
-        lam = np.full(m, 1.0 / m)
-    else:
+    if weights0 is not None:
         lam = np.asarray(weights0, dtype=float).copy()
         if lam.shape != (m,) or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-9:
             raise InputError("weights0 must lie on the unit simplex")
+    scale = float(np.abs(G).max(initial=0.0))
+    if scale == 0.0:
+        # All-zero gradients: every convex combination is the zero vector.
+        return _finish(G, np.full(m, 1.0 / m), 0)
+    Gs = G / scale
+    M = Gs @ Gs.T
+    slack = tol * float(M.diagonal().max())
+    if weights0 is None:
+        lam = np.zeros(m)
+        lam[np.argmin(M.diagonal())] = 1.0
+    support = lam > 0.0
 
-    best = lam
-    best_res = _stop_residual(M, lam, tol)
-    for k in range(MAX_ITERATIONS):
-        if best_res <= tol:
-            return _finish(G, best, k)
-        lam = project_to_simplex(lam - step * 2.0 * (M @ lam))
-        res = _stop_residual(M, lam, tol)
-        if res < best_res:
-            best, best_res = lam, res
-        if (k + 1) % 20 == 0:
-            polished = _active_set_polish(M, lam > _SUPPORT_TOL)
-            if polished is not None:
-                pres = _stop_residual(M, polished, tol)
-                if pres < best_res:
-                    best, best_res = polished, pres
-                    lam = polished
-    if best_res <= tol:
-        return _finish(G, best, MAX_ITERATIONS)
+    steps = _STEPS_PER_ROW * m
+    for k in range(steps):
+        s = np.flatnonzero(support)
+        mu = _affine_minimizer(M[np.ix_(s, s)])
+        if mu.min() >= 0.0:
+            lam[s] = mu
+            inner = M @ lam
+            j = int(np.argmin(inner))
+            # A support row misses lam^T M lam only by the solve's rounding.
+            if support[j] or inner[j] >= lam @ inner - slack:
+                return _finish(G, lam, k)
+            support[j] = True
+        else:
+            # Move toward mu until the first weight reaches zero; drop it.
+            cur = lam[s]
+            out = np.flatnonzero(mu < 0.0)
+            ratios = cur[out] / (cur[out] - mu[out])
+            i = int(np.argmin(ratios))
+            lam[s] = np.maximum(cur + ratios[i] * (mu - cur), 0.0)
+            lam[s[out[i]]] = 0.0
+            support = lam > 0.0
     raise ConvergenceError(
-        f"min-norm solver stalled at residual {best_res:.3e} (tol {tol:.1e})",
-        _finish(G, best, MAX_ITERATIONS),
+        f"min-norm solver cycled: no optimal support after {steps} active-set "
+        f"steps (tol {tol:.1e})",
+        _finish(G, lam, steps),
     )
 
 
 def solve_direction(G, tol=1e-10):
     """Subproblem route used inside the solvers.
 
-    Two objectives take the exact closed form; larger instances run the
-    iterative solver.
+    Two objectives take the exact closed form; larger instances run
+    Wolfe's active-set method.
     """
     G = _check_matrix(G)
     if G.shape[0] == 2:
@@ -279,7 +278,7 @@ def brute_force_min_norm(G, grid_step=0.01):
 
     The grid uses resolution ceil(1/grid_step), so spacing never exceeds
     ``grid_step``.  Intended as an independent oracle for the closed-form
-    and iterative solvers; cost grows like (1/grid_step)^(m-1).
+    and active-set solvers; cost grows like (1/grid_step)^(m-1).
     """
     G = _check_matrix(G)
     m = G.shape[0]

@@ -1,4 +1,4 @@
-"""Tests for the min-norm subproblem: closed form, iterative solver, oracle."""
+"""Tests for the min-norm subproblem: closed form, active-set solver, oracles."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from mograd import (
     min_norm_two,
     project_to_simplex,
     solve_direction,
+    subproblem,
 )
+from mograd.suite import SCALAR_PROBLEMS
 
 
 class TestProjection:
@@ -168,6 +170,26 @@ class TestMinNormElement:
             assert np.array_equal(sol.gradient, G.T @ sol.weights)
             assert sol.omega == float(sol.gradient @ sol.gradient)
 
+    def test_iterations_count_active_set_steps(self):
+        # From the shortest row (0, -1): add (2, 1), add (-2, -2), then drop
+        # (0, -1), because the triangle's affine minimizer (the origin) lies
+        # outside the triangle.  The answer is on the edge of the other two.
+        G = np.array([[0.0, -1.0], [2.0, 1.0], [-2.0, -2.0]])
+        sol = min_norm_element(G)
+        assert sol.iterations == 3
+        assert_allclose(sol.weights, [0.0, 0.56, 0.44], atol=1e-14)
+        assert sol.omega == pytest.approx(0.16, rel=1e-13)
+        # A vertex that is already optimal takes no step.
+        assert min_norm_element(np.array([[1.0, 0.0], [2.0, 1.0], [1.0, -3.0]])).iterations == 0
+
+    def test_cycling_guard_raises_with_feasible_iterate(self, monkeypatch):
+        monkeypatch.setattr(subproblem, "_STEPS_PER_ROW", 0)
+        with pytest.raises(ConvergenceError) as info:
+            min_norm_element(np.eye(3))
+        best = info.value.best
+        assert_allclose(best.weights, [1.0, 0.0, 0.0])
+        assert best.omega == 1.0
+
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             min_norm_element(np.ones((2, 2)), tol=0.0)
@@ -177,7 +199,146 @@ class TestMinNormElement:
             min_norm_element(np.ones((2, 2)), weights0=np.array([0.7, 0.7]))
 
 
+def _gram_scale(G):
+    """Largest entry of G G^T: the scale of every inner product in the KKT conditions."""
+    return float(np.einsum("ij,ij->i", G, G).max())
+
+
+def _assert_kkt(G, sol, rel):
+    """The min-norm optimality conditions, relative to the Gram scale of G."""
+    scale = _gram_scale(G)
+    assert sol.weights.min() >= 0.0
+    assert abs(sol.weights.sum() - 1.0) <= 1e-12
+    inner = G @ sol.gradient
+    assert inner.min() >= sol.omega - rel * scale
+    assert np.abs(inner[sol.weights > 0.0] - sol.omega).max() <= rel * scale
+
+
+def _nnls_omega(nnls, G):
+    """omega of the min-norm element by least-distance programming.
+
+    min ||E u - e_last|| over u >= 0 with E = [G^T; 1^T]: u / sum(u) are the
+    min-norm simplex weights.  G is scaled to unit largest entry so that the
+    row of ones keeps its weight.
+    """
+    m, n = G.shape
+    scale = float(np.abs(G).max())
+    if scale == 0.0:
+        return 0.0
+    E = np.vstack([G.T / scale, np.ones(m)])
+    f = np.zeros(n + 1)
+    f[-1] = 1.0
+    u, _ = nnls(E, f, maxiter=100 * (m + n + 1))
+    g = G.T @ (u / u.sum())
+    return float(g @ g)
+
+
+FAMILIES = ("gaussian", "duplicate rows", "zero rows", "rank deficient", "near collinear")
+
+
+def _family_jacobian(family, m, n, seed, eps, log_scale):
+    rng = np.random.default_rng(seed)
+    if family == "rank deficient":
+        n = min(n, m - 1)
+    G = rng.standard_normal((m, n))
+    if family == "duplicate rows":
+        G[m // 2 :] = G[rng.integers(0, m // 2, size=m - m // 2)]
+    elif family == "zero rows":
+        G[rng.choice(m, size=max(1, m // 3), replace=False)] = 0.0
+    elif family == "near collinear":
+        # Rows within eps of a line through the origin, mostly on one side.
+        G = np.outer(1.0 + rng.standard_normal(m), rng.standard_normal(n)) + eps * G
+    return G * 10.0**log_scale
+
+
+def _for_drawn_jacobians(check, examples=300):
+    """Run ``check(G)`` on hypothesis-drawn Jacobians: m in [3, 20], every family."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    jacobians = st.builds(
+        _family_jacobian,
+        st.sampled_from(FAMILIES),
+        st.integers(3, 20),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((1e-4, 1e-6, 1e-8)),
+        st.floats(-8.0, 8.0),
+    )
+    settings = hypothesis.settings(
+        max_examples=examples, deadline=None, derandomize=True, database=None
+    )
+    settings(hypothesis.given(jacobians)(check))()
+
+
+class TestMinNormProperties:
+    """The active-set solver on degenerate and badly scaled Jacobians."""
+
+    def test_omega_matches_nnls_and_brute_force(self):
+        nnls = pytest.importorskip("scipy.optimize").nnls
+
+        def check(G):
+            sol = min_norm_element(G)
+            scale = _gram_scale(G)
+            assert abs(sol.omega - _nnls_omega(nnls, G)) <= 1e-9 * scale
+            if G.shape[0] <= 4:
+                # An exact minimizer is never beaten by a grid point.
+                grid = brute_force_min_norm(G, grid_step=0.02).omega
+                assert sol.omega <= grid + 1e-12 * scale
+
+        _for_drawn_jacobians(check)
+
+    def test_kkt_conditions_relative_to_gram_scale(self):
+        _for_drawn_jacobians(lambda G: _assert_kkt(G, min_norm_element(G), 1e-9))
+
+
+def _stacked_jacobian(names, x):
+    return np.vstack([SCALAR_PROBLEMS[name].gradient(x) for name in names])
+
+
+class TestStackedCatalogInstances:
+    """m = 3 Jacobians of stacked catalog functions, as the many-objective runs build them."""
+
+    def test_ill_conditioned_at_standard_start(self):
+        names = ("ARWHEAD", "VARDIM", "BROWNAL")
+        x = np.mean([SCALAR_PROBLEMS[name].standard_start for name in names], axis=0)
+        G = _stacked_jacobian(names, x)
+        eig = np.linalg.eigvalsh(G @ G.T)
+        assert eig.max() / eig.min() > 1e9
+        sol = min_norm_element(G)
+        assert sol.iterations <= 3
+        _assert_kkt(G, sol, 1e-12)
+
+    def test_rank_deficient_critical_point(self):
+        # The descent driver's first iterate from the averaged standard
+        # start: three gradients in R^2 whose hull holds the origin.
+        names = ("ZANGWIL2", "ROSENBR", "CUBE")
+        G = _stacked_jacobian(names, np.array([1.735866580837344, 3.506963584145711]))
+        assert np.linalg.matrix_rank(G) == 2
+        sol = min_norm_element(G)
+        assert sol.iterations <= 3
+        assert sol.weights.min() > 0.0
+        assert sol.omega <= 1e-15 * _gram_scale(G)
+        _assert_kkt(G, sol, 1e-12)
+
+
 class TestKktResidual:
+    def test_computed_on_first_access_only(self, monkeypatch):
+        calls = []
+        residual = subproblem.kkt_residual
+
+        def counted(G, weights):
+            calls.append(1)
+            return residual(G, weights)
+
+        monkeypatch.setattr(subproblem, "kkt_residual", counted)
+        for G in (np.array([[1.0, 0.0], [0.0, 1.0]]), np.eye(3)):
+            sol = solve_direction(G)
+            assert calls == []
+            assert sol.kkt_residual == residual(G, sol.weights)
+            assert sol.kkt_residual == residual(G, sol.weights)
+            assert len(calls) == 1
+            calls.clear()
+
     def test_exact_solution_residual(self, rng):
         for _ in range(100):
             g1, g2 = rng.normal(size=(2, 3))
