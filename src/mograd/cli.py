@@ -133,11 +133,13 @@ def _load_record_view(path, varsigma):
             raise ConfigError(
                 f"{path}: expected exactly one record, found {len(recs)}"
             )
-        config = recs[0]["config"]
-        stem = harness._stem_from_summary(recs[0])
+        row = recs[0]
+        stem = harness._stem(
+            row["problem"], row["solver"], row["seed"], row["noise_rho"]
+        )
         csv_path = os.path.join(os.path.dirname(path), stem + ".csv")
         cols = harness.load_trajectory_csv(csv_path)
-        return _RecordView(cols["omega"], config)
+        return _RecordView(cols["omega"], row["config"])
     cols = harness.load_trajectory_csv(path)
     return _RecordView(cols["omega"], {"varsigma": varsigma})
 

@@ -359,14 +359,9 @@ def run_multitask(
     return MultitaskResult(record, accs, best_min, best_k, evals)
 
 
-def _stem(record):
-    rho = f"{record.noise_rho:g}"
-    return f"{record.problem}__{record.solver}__seed{record.seed}__rho{rho}"
-
-
-def _stem_from_summary(row):
-    rho = f"{row['noise_rho']:g}"
-    return f"{row['problem']}__{row['solver']}__seed{row['seed']}__rho{rho}"
+def _stem(problem, solver, seed, noise_rho):
+    """File stem of one run's trajectory CSV."""
+    return f"{problem}__{solver}__seed{seed}__rho{noise_rho:g}"
 
 
 def export(records, format, path):
@@ -383,7 +378,7 @@ def export(records, format, path):
         os.makedirs(path, exist_ok=True)
         index_rows = []
         for r in records:
-            stem = _stem(r)
+            stem = _stem(r.problem, r.solver, r.seed, r.noise_rho)
             t = r.trajectory
             lines = ["k,omega,weight_or_step,gradient_evals,objective_evals"]
             for k in range(len(t)):

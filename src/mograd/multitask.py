@@ -14,12 +14,22 @@ The two losses share a parameter vector but touch disjoint blocks, so
 the training problem is a clean bi-objective instance with block-sparse
 gradients.  Parameters flatten as the Task 1 block (row-major) followed
 by the Task 2 weight vector; the all-zero vector is the standard start.
+
+The oracles (:func:`losses`, :func:`loss_gradients`, :func:`accuracy`)
+work on a per-split block built on first use and cached on the
+:class:`Dataset`: the split's features stored class-major as a contiguous
+d x N array, with float targets (a 4 x N one-hot for the quadrant classes,
+0/1 vectors for binary tasks).  Logits are then class-major too, so every
+reduction (softmax max and sum, picking the labelled class) runs along
+the long sample axis, and no call copies the split out of the features.
+A cached block is checked by identity against the split's index array,
+the features and the labels, so rebinding any of them rebuilds it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +51,10 @@ class Dataset:
     labels_task2: np.ndarray  # binary 0/1
     train_idx: np.ndarray
     test_idx: np.ndarray
+    # split -> cached _Block; see _split_block.
+    _blocks: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_features(self):
@@ -132,63 +146,114 @@ def _split_indices(dataset, split):
     raise InputError(f"split must be 'train' or 'test', got {split!r}")
 
 
-def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+@dataclass
+class _Block:
+    """One split, class-major, with the targets of both tasks."""
+
+    source: tuple          # (idx, features, labels_task1, labels_task2)
+    XT: np.ndarray         # d x N features, contiguous
+    labels1: np.ndarray    # N task-1 labels, as in the dataset
+    target1: np.ndarray    # 4 x N one-hot (quadrants) or N floats 0/1
+    target2: np.ndarray    # N floats 0/1
+
+
+def _split_block(dataset, split):
+    """The split's :class:`_Block`, built on first use and cached on ``dataset``.
+
+    The cached block is reused only while the split's index array, the
+    features and both label arrays are the very objects it was built from,
+    so rebinding any of them (``dataset.test_idx = ...``) rebuilds it.
+    Writing into those arrays in place is not detected.
+    """
+    idx = _split_indices(dataset, split)
+    source = (idx, dataset.features, dataset.labels_task1, dataset.labels_task2)
+    block = dataset._blocks.get(split)
+    if block is not None and all(a is b for a, b in zip(block.source, source)):
+        return block
+    if idx.size == 0:
+        raise InputError("empty split")
+    labels1 = dataset.labels_task1[idx]
+    if dataset.kind == "quadrants":
+        target1 = (np.arange(1, 5)[:, None] == labels1).astype(float)
+    else:
+        target1 = labels1.astype(float)
+    block = _Block(
+        source,
+        np.ascontiguousarray(dataset.features[idx].T),
+        labels1,
+        target1,
+        dataset.labels_task2[idx].astype(float),
+    )
+    dataset._blocks[split] = block
+    return block
+
+
+def _softmax(L):
+    """Softmax over the classes of class-major logits (classes x N), in place."""
+    L -= L.max(axis=0)
+    np.exp(L, out=L)
+    L /= L.sum(axis=0)
+    return L
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function, evaluated without overflow for either sign of z."""
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
+def _mean_nll(q):
+    """-mean(log(q)); overwrites q."""
+    return float(-np.mean(np.log(q, out=q)))
+
+
 def _binary_ce(p, y):
-    p = np.clip(p, _CLIP, 1.0 - _CLIP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    """Mean binary cross-entropy of probabilities p for 0/1 targets y.
+
+    Overwrites p.  For y in {0, 1}, y*log(p) + (1-y)*log(1-p) is exactly
+    the log of |p - (1 - y)|, the probability given to the target.
+    """
+    np.clip(p, _CLIP, 1.0 - _CLIP, out=p)
+    p -= 1.0 - y
+    return _mean_nll(np.abs(p, out=p))
 
 
 def losses(dataset, split, params):
     """Mean cross-entropies (J1, J2) of the two tasks on one split."""
-    idx = _split_indices(dataset, split)
-    if idx.size == 0:
-        raise InputError("empty split")
-    X = dataset.features[idx]
+    block = _split_block(dataset, split)
     w1, w2 = split_params(dataset, params)
     if dataset.kind == "quadrants":
-        probs = _softmax(X @ w1)
-        picked = probs[np.arange(len(idx)), dataset.labels_task1[idx] - 1]
-        j1 = float(-np.mean(np.log(np.clip(picked, _CLIP, 1.0 - _CLIP))))
+        probs = _softmax(w1.T @ block.XT)
+        probs *= block.target1
+        picked = probs.sum(axis=0)
+        j1 = _mean_nll(np.clip(picked, _CLIP, 1.0 - _CLIP, out=picked))
     else:
-        j1 = _binary_ce(_sigmoid(X @ w1), dataset.labels_task1[idx])
-    j2 = _binary_ce(_sigmoid(X @ w2), dataset.labels_task2[idx])
+        j1 = _binary_ce(_sigmoid(w1 @ block.XT), block.target1)
+    j2 = _binary_ce(_sigmoid(w2 @ block.XT), block.target2)
     return j1, j2
 
 
 def loss_gradients(dataset, split, params):
     """Analytic gradient rows, shape (2, P); cross-task blocks are zero."""
-    idx = _split_indices(dataset, split)
-    if idx.size == 0:
-        raise InputError("empty split")
-    X = dataset.features[idx]
-    N = len(idx)
+    block = _split_block(dataset, split)
+    XT = block.XT
+    d, N = XT.shape
     w1, w2 = split_params(dataset, params)
     out = np.zeros((2, dataset.n_params))
-    d = dataset.n_features
     if dataset.kind == "quadrants":
-        probs = _softmax(X @ w1)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(N), dataset.labels_task1[idx] - 1] = 1.0
-        out[0, : d * 4] = (X.T @ (probs - onehot)).ravel() / N
+        r = _softmax(w1.T @ XT)
+        r -= block.target1
+        out[0, : d * 4] = (XT @ r.T).ravel() / N
     else:
-        p = _sigmoid(X @ w1)
-        out[0, :d] = X.T @ (p - dataset.labels_task1[idx]) / N
-    p2 = _sigmoid(X @ w2)
-    out[1, dataset.n_params - d :] = X.T @ (p2 - dataset.labels_task2[idx]) / N
+        r = _sigmoid(w1 @ XT)
+        r -= block.target1
+        out[0, :d] = XT @ r / N
+    r = _sigmoid(w2 @ XT)
+    r -= block.target2
+    out[1, dataset.n_params - d :] = XT @ r / N
     return out
 
 
@@ -199,18 +264,16 @@ def accuracy(dataset, split, params):
     tasks predict 1 only on strictly positive logits, matching the
     two-class argmax convention.
     """
-    idx = _split_indices(dataset, split)
-    if idx.size == 0:
-        raise InputError("empty split")
-    X = dataset.features[idx]
+    block = _split_block(dataset, split)
     w1, w2 = split_params(dataset, params)
     if dataset.kind == "quadrants":
-        pred1 = np.argmax(X @ w1, axis=1) + 1
+        # An argmax along the last axis runs in place; along the first it
+        # copies, so this one product stays sample-major.
+        pred1 = np.argmax(block.XT.T @ w1, axis=1) + 1
     else:
-        pred1 = (X @ w1 > 0).astype(int)
-    pred2 = (X @ w2 > 0).astype(int)
-    acc1 = float(np.mean(pred1 == dataset.labels_task1[idx]))
-    acc2 = float(np.mean(pred2 == dataset.labels_task2[idx]))
+        pred1 = w1 @ block.XT > 0
+    acc1 = float(np.mean(pred1 == block.labels1))
+    acc2 = float(np.mean((w2 @ block.XT > 0) == block.target2))
     return acc1, acc2, min(acc1, acc2)
 
 

@@ -85,6 +85,8 @@ def _check_matrix(G):
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
         raise InputError(f"gradient matrix must be 2-d, got shape {G.shape}")
+    if G.size == 0:
+        raise InputError(f"gradient matrix is empty, got shape {G.shape}")
     if not np.isfinite(G).all():
         raise InputError("gradient matrix contains non-finite entries")
     return G
@@ -270,6 +272,7 @@ def _simplex_grid(m, resolution):
     return np.vstack(blocks)
 
 
+# Simplex grids by (m, resolution), one weight vector per column: (m, N).
 _GRID_CACHE = {}
 
 
@@ -291,10 +294,9 @@ def brute_force_min_norm(G, grid_step=0.01):
     K = int(np.ceil(1.0 / grid_step))
     key = (m, K)
     if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = _simplex_grid(m, K)
-    grid = _GRID_CACHE[key]
+        _GRID_CACHE[key] = np.ascontiguousarray(_simplex_grid(m, K).T)
+    gT = _GRID_CACHE[key]
     M = G @ G.T
-    values = np.einsum("ij,jk,ik->i", grid, M, grid)
-    lam = grid[int(np.argmin(values))]
-    sol = _finish(G, lam.copy(), len(grid))
-    return sol
+    values = ((M @ gT) * gT).sum(axis=0)
+    j = int(np.argmin(values))
+    return _finish(G, gT[:, j].copy(), gT.shape[1])

@@ -1,5 +1,6 @@
 """Tests for the two-task classification instances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,11 +23,13 @@ from mograd import (
     split_params,
     to_csv,
 )
-from mograd.multitask import _features
+from mograd.multitask import _CLIP, _features, _sigmoid
 
 
-def _toy(kind="quadrants"):
-    points = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5], [0.5, 0.5]])
+def _toy(kind="quadrants", points=None):
+    if points is None:
+        points = [[0.0, 0.0], [1.5, 0.0], [0.0, 1.5], [0.5, 0.5]]
+    points = np.array(points)
     labels1 = (
         quadrant_label(points)
         if kind == "quadrants"
@@ -39,9 +42,52 @@ def _toy(kind="quadrants"):
         features=_features(kind, points),
         labels_task1=labels1,
         labels_task2=circle_label(points),
-        train_idx=np.arange(4),
-        test_idx=np.arange(4),
+        train_idx=np.arange(len(points)),
+        test_idx=np.arange(len(points)),
     )
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _row_major_oracle(ds, split, params):
+    """Losses and gradients with one row per sample and labels indexed per call.
+
+    The reference the class-major oracle must match up to rounding.
+    """
+    idx = ds.train_idx if split == "train" else ds.test_idx
+    X = ds.features[idx]
+    N, d = X.shape
+    w1, w2 = split_params(ds, params)
+    labels1, labels2 = ds.labels_task1[idx], ds.labels_task2[idx]
+
+    def binary_ce(p, y):
+        p = np.clip(p, _CLIP, 1.0 - _CLIP)
+        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+    grads = np.zeros((2, ds.n_params))
+    if ds.kind == "quadrants":
+        z = X @ w1
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        picked = probs[np.arange(N), labels1 - 1]
+        j1 = float(-np.mean(np.log(np.clip(picked, _CLIP, 1.0 - _CLIP))))
+        onehot = np.zeros_like(probs)
+        onehot[np.arange(N), labels1 - 1] = 1.0
+        grads[0, : d * 4] = (X.T @ (probs - onehot)).ravel() / N
+    else:
+        p1 = _masked_sigmoid(X @ w1)
+        j1 = binary_ce(p1, labels1)
+        grads[0, :d] = X.T @ (p1 - labels1) / N
+    p2 = _masked_sigmoid(X @ w2)
+    grads[1, ds.n_params - d :] = X.T @ (p2 - labels2) / N
+    return (j1, binary_ce(p2, labels2)), grads
 
 
 class TestGeometry:
@@ -165,6 +211,59 @@ class TestLosses:
             losses(ds, "test", np.zeros(25))
 
 
+class TestClassMajorOracle:
+    @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_matches_row_major_formulas(self, kind, split, rng):
+        ds = generate_dataset(kind, N=2000, seed=7)
+        clamped = False
+        for scale in (1e-2, 0.3, 1.0, 5.0, 30.0):
+            for _ in range(3):
+                theta = rng.normal(scale=scale, size=ds.n_params)
+                (r1, r2), rg = _row_major_oracle(ds, split, theta)
+                j1, j2 = losses(ds, split, theta)
+                assert j1 == pytest.approx(r1, rel=1e-12)
+                assert j2 == pytest.approx(r2, rel=1e-12)
+                g = loss_gradients(ds, split, theta)
+                assert_allclose(g, rg, rtol=1e-12, atol=1e-12 * np.abs(rg).max())
+                # A task-2 logit beyond -log(_CLIP) puts its probability
+                # in the clamp.
+                z = ds.features @ split_params(ds, theta)[1]
+                clamped |= np.abs(z).max() > -math.log(_CLIP)
+        assert clamped
+
+    def test_sigmoid_bit_identical_to_masked_formula(self, rng):
+        z = np.concatenate([
+            rng.normal(scale=s, size=1000) for s in (1e-3, 1.0, 30.0, 800.0)
+        ] + [np.array([0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 1e308,
+                       -1e308, np.inf, -np.inf])])
+        assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+
+    def test_rebinding_split_index_rebuilds_cache(self, rng):
+        ds = generate_dataset("quadrants", N=500, seed=3)
+        theta = rng.normal(size=25)
+        before = losses(ds, "train", theta)
+        ds.train_idx = ds.train_idx[::3]
+        after = losses(ds, "train", theta)
+        assert after != before
+        # A copy starts with an empty cache: the rebound split, built fresh.
+        assert after == losses(dataclasses.replace(ds), "train", theta)
+        expected = _row_major_oracle(ds, "train", theta)[0]
+        assert after == pytest.approx(expected, rel=1e-12)
+        ds.train_idx = np.array([], dtype=int)
+        with pytest.raises(InputError):
+            losses(ds, "train", theta)
+
+    @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
+    def test_calls_leave_cached_block_intact(self, kind, rng):
+        ds = generate_dataset(kind, N=300, seed=2)
+        theta = rng.normal(size=ds.n_params)
+        first = (losses(ds, "test", theta), loss_gradients(ds, "test", theta))
+        accuracy(ds, "test", theta)
+        assert losses(ds, "test", theta) == first[0]
+        assert np.array_equal(loss_gradients(ds, "test", theta), first[1])
+
+
 class TestAccuracy:
     def test_zero_params_predict_first_class(self):
         ds = generate_dataset("quadrants", N=2000, seed=0)
@@ -183,6 +282,18 @@ class TestAccuracy:
         params[20:] = [1.0, 0.0, 0.0, -1.0, -1.0]  # logit 1 - x1^2 - x2^2
         acc1, acc2, lo = accuracy(ds, "train", params)
         assert (acc1, acc2, lo) == (1.0, 1.0, 1.0)
+
+    def test_quadrant_ties_go_to_lowest_class(self):
+        # Every point lies in quadrant 2.
+        ds = _toy("quadrants", points=((-1.0, 1.0), (-0.5, 0.2), (-1.5, 0.0)))
+        assert np.array_equal(ds.labels_task1, [2, 2, 2])
+        w1 = np.zeros((5, 4))
+        w1[0, 1:] = 1.0  # classes 2, 3 and 4 tie above class 1
+        params = np.concatenate([w1.ravel(), np.zeros(5)])
+        assert accuracy(ds, "train", params)[0] == 1.0
+        w1[0, 0] = 1.0  # now class 1 joins the tie and wins it
+        params = np.concatenate([w1.ravel(), np.zeros(5)])
+        assert accuracy(ds, "train", params)[0] == 0.0
 
 
 class TestProblemView:

@@ -198,6 +198,12 @@ class TestMinNormElement:
         with pytest.raises(InputError):
             min_norm_element(np.ones((2, 2)), weights0=np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0), (0, 0)])
+    def test_empty_jacobian_rejected(self, shape):
+        for solve in (min_norm_element, solve_direction):
+            with pytest.raises(InputError, match="empty"):
+                solve(np.zeros(shape))
+
 
 def _gram_scale(G):
     """Largest entry of G G^T: the scale of every inner product in the KKT conditions."""
@@ -389,6 +395,40 @@ class TestBruteForce:
         G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         sol = brute_force_min_norm(G, grid_step=1e-3)
         assert abs(sol.omega - 0.5) <= 1e-5
+
+    def test_scoring_matches_einsum_formula(self, rng):
+        from mograd.subproblem import _simplex_grid
+
+        def einsum_point(G, grid):
+            values = np.einsum("ij,jk,ik->i", grid, G @ G.T, grid)
+            lam = grid[int(np.argmin(values))]
+            return lam / lam.sum(), values
+
+        # Generic Jacobians have one best grid point: both scorings pick it.
+        for m, step in [(2, 1e-3), (3, 1e-3), (3, 1e-2), (4, 2e-2)]:
+            grid = _simplex_grid(m, int(np.ceil(1.0 / step)))
+            for _ in range(15):
+                n = int(rng.integers(1, 6))
+                G = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-4.0, 4.0)
+                expected, _ = einsum_point(G, grid)
+                got = brute_force_min_norm(G, grid_step=step).weights
+                assert np.array_equal(got, expected)
+        # Degenerate ones tie along whole faces; rounding breaks the tie, so
+        # the point may differ but its value is the einsum minimum.
+        g = rng.normal(size=3)
+        for m in (2, 3, 4):
+            grid = _simplex_grid(m, 50)
+            for G in (
+                np.zeros((m, 3)),
+                np.tile(g, (m, 1)),
+                np.vstack([g * k for k in range(1, m + 1)]),
+                np.vstack([g, -g] + [g] * (m - 2)),
+                np.ones((m, 1)),
+            ):
+                _, values = einsum_point(G, grid)
+                lam = brute_force_min_norm(G, grid_step=0.02).weights
+                value = lam @ (G @ G.T) @ lam
+                assert value - values.min() <= 1e-14 * max(values.max(), 1.0)
 
 
 class TestSolveDirection:
