@@ -17,7 +17,7 @@ import numpy as np
 
 from .problems import ConvergenceError, EvaluationOverflowError, InputError
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
-from .subproblem import solve_direction
+from .subproblem import _check_tol, solve_direction
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class AdagradConfig:
             raise InputError(
                 f"gradient_budget must be >= 1, got {self.gradient_budget}"
             )
+        _check_tol(self.subproblem_tol, "subproblem_tol")
+        if not self.thin >= 1:
+            raise InputError(f"thin must be >= 1, got {self.thin}")
 
     def echo(self):
         return {

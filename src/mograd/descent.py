@@ -22,7 +22,7 @@ from .problems import (
     LineSearchError,
 )
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
-from .subproblem import solve_direction
+from .subproblem import _check_tol, solve_direction
 
 MIN_STEP = 2.0**-50
 
@@ -51,6 +51,9 @@ class DescentConfig:
             )
         if not self.min_step > 0:
             raise InputError(f"min_step must be > 0, got {self.min_step}")
+        _check_tol(self.subproblem_tol, "subproblem_tol")
+        if not self.thin >= 1:
+            raise InputError(f"thin must be >= 1, got {self.thin}")
 
     def echo(self):
         return {
@@ -80,7 +83,7 @@ def armijo_backtrack(problem, x, g_s, grads, beta, min_step=MIN_STEP):
     while True:
         candidate = problem.evaluate(x - t * g_s)
         used += 1
-        if np.all(candidate <= fx - beta * t * slopes):
+        if (candidate <= fx - beta * t * slopes).all():
             return t, used
         t *= 0.5
         if t < min_step:

@@ -42,6 +42,23 @@ class LineSearchError(RuntimeError):
     """Backtracking reached the minimum step size without acceptance."""
 
 
+def _overflow(name, values, x):
+    """EvaluationOverflowError naming the first non-finite entry of ``values``.
+
+    ``values`` is an objective vector or a Jacobian; the error's index is the
+    objective index or the ``(objective, variable)`` pair, in row-major order.
+    """
+    flat = int(np.flatnonzero(~np.isfinite(values))[0])
+    if values.ndim == 1:
+        return EvaluationOverflowError(
+            f"{name}: objective {flat} is non-finite at x={x}", flat, x
+        )
+    j, i = divmod(flat, values.shape[1])
+    return EvaluationOverflowError(
+        f"{name}: gradient entry ({j}, {i}) is non-finite at x={x}", (j, i), x
+    )
+
+
 @dataclass
 class EvalCounters:
     """Cumulative oracle call counts. Monotone during a run; reset between runs."""
@@ -107,12 +124,8 @@ class MultiObjectiveProblem:
         with np.errstate(all="ignore"):
             y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
         self.counters.objective_evals += 1
-        bad = ~np.isfinite(y)
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            raise EvaluationOverflowError(
-                f"{self.name}: objective {j} is non-finite at x={x}", j, x
-            )
+        if not np.isfinite(y).all():
+            raise _overflow(self.name, y, x)
         return y
 
     def jacobian(self, x):
@@ -121,14 +134,8 @@ class MultiObjectiveProblem:
         with np.errstate(all="ignore"):
             G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
         self.counters.gradient_evals += 1
-        bad = ~np.isfinite(G)
-        if bad.any():
-            j, i = np.argwhere(bad)[0]
-            raise EvaluationOverflowError(
-                f"{self.name}: gradient entry ({j}, {i}) is non-finite at x={x}",
-                (int(j), int(i)),
-                x,
-            )
+        if not np.isfinite(G).all():
+            raise _overflow(self.name, G, x)
         return G
 
     def phi(self, x):
@@ -180,17 +187,27 @@ class NoisyProblem(MultiObjectiveProblem):
         y = self._base.evaluate(x)
         if self.spec.rho == 0.0:
             return y
-        xi = self._rng.standard_normal(self.m)
-        return y * (1.0 + self.spec.rho * xi)
+        return self._corrupt(y, x)
 
     def jacobian(self, x):
         G = self._base.jacobian(x)
         if self.spec.rho == 0.0:
             return G
-        # One draw per entry, row-major, after any objective draws of the call
-        # sequence so the stream layout is reproducible.
-        xi = self._rng.standard_normal((self.m, self.n))
-        return G * (1.0 + self.spec.rho * xi)
+        return self._corrupt(G, x)
+
+    def _corrupt(self, values, x):
+        """``values * (1 + rho*xi)``, which must stay finite like the base's.
+
+        One draw per entry, row-major, in call order, so the stream layout is
+        reproducible.  A finite value can still overflow here; that is an
+        :class:`EvaluationOverflowError`, as in the base oracle.
+        """
+        xi = self._rng.standard_normal(values.shape)
+        with np.errstate(over="ignore"):
+            noisy = values * (1.0 + self.spec.rho * xi)
+        if not np.isfinite(noisy).all():
+            raise _overflow(self.name, noisy, np.asarray(x, dtype=float))
+        return noisy
 
 
 def wrap_noisy(problem, spec):

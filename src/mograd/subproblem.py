@@ -92,6 +92,12 @@ def _check_matrix(G):
     return G
 
 
+def _check_tol(tol, name="tol"):
+    """Raise :class:`InputError` unless ``tol`` is a finite number > 0."""
+    if not (np.isscalar(tol) and np.isfinite(tol) and tol > 0):
+        raise InputError(f"{name} must be a positive number, got {tol}")
+
+
 def _finish(G, lam, iterations):
     """Clamp stray negatives, renormalize, and package a solution."""
     lam = np.maximum(lam, 0.0)
@@ -144,7 +150,12 @@ def min_norm_two(g1, g2):
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape or g1.ndim != 1:
         raise InputError("min_norm_two expects two vectors of equal length")
-    G = _check_matrix(np.vstack([g1, g2]))
+    return _min_norm_rows(_check_matrix(np.array([g1, g2])))
+
+
+def _min_norm_rows(G):
+    """The closed form of :func:`min_norm_two` on a checked (2, n) matrix."""
+    g1, g2 = G
     diff = g1 - g2
     denom = float(diff @ diff)
     if denom == 0.0:
@@ -191,8 +202,7 @@ def min_norm_element(G, tol=1e-10, weights0=None):
     never increases along the iterates) if the steps exceed ten per row,
     which only rounding can cause, and :class:`InputError` for bad inputs.
     """
-    if not (np.isscalar(tol) and np.isfinite(tol) and tol > 0):
-        raise InputError(f"tol must be a positive number, got {tol}")
+    _check_tol(tol)
     G = _check_matrix(G)
     m = G.shape[0]
     if weights0 is not None:
@@ -247,7 +257,7 @@ def solve_direction(G, tol=1e-10):
     """
     G = _check_matrix(G)
     if G.shape[0] == 2:
-        return min_norm_two(G[0], G[1])
+        return _min_norm_rows(G)
     return min_norm_element(G, tol=tol)
 
 

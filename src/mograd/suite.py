@@ -18,6 +18,7 @@ README, since several variants circulate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,26 +93,42 @@ def _zangwil2_grad(x):
 
 def _arwhead(x):
     head = x[:-1] ** 2 + x[-1] ** 2
-    return float(np.sum(head**2 - 4.0 * x[:-1] + 3.0))
+    return float((head**2 - 4.0 * x[:-1] + 3.0).sum())
 
 
 def _arwhead_grad(x):
     head = x[:-1] ** 2 + x[-1] ** 2
     g = np.empty_like(x)
     g[:-1] = 4.0 * x[:-1] * head - 4.0
-    g[-1] = 4.0 * x[-1] * np.sum(head)
+    g[-1] = 4.0 * x[-1] * head.sum()
     return g
+
+
+@functools.cache
+def _index(n):
+    """The float index 1, ..., n (read-only, shared by every call)."""
+    idx = np.arange(1, n + 1, dtype=float)
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.cache
+def _diagonal(n):
+    """Boolean (n, n) identity mask (read-only, shared by every call)."""
+    mask = np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _vardim(x):
     n = x.size
-    lin = float(np.arange(1, n + 1) @ x) - n * (n + 1) / 2.0
-    return float(np.sum((x - 1.0) ** 2)) + lin**2 + lin**4
+    lin = float(_index(n) @ x) - n * (n + 1) / 2.0
+    return float(((x - 1.0) ** 2).sum()) + lin**2 + lin**4
 
 
 def _vardim_grad(x):
     n = x.size
-    idx = np.arange(1, n + 1, dtype=float)
+    idx = _index(n)
     lin = float(idx @ x) - n * (n + 1) / 2.0
     return 2.0 * (x - 1.0) + (2.0 * lin + 4.0 * lin**3) * idx
 
@@ -119,21 +136,25 @@ def _vardim_grad(x):
 def _brownal(x):
     n = x.size
     lin = x + x.sum() - (n + 1.0)
-    prod = float(np.prod(x))
-    return float(np.sum(lin[:-1] ** 2)) + (prod - 1.0) ** 2
+    prod = float(x.prod())
+    return float((lin[:-1] ** 2).sum()) + (prod - 1.0) ** 2
 
 
 def _brownal_grad(x):
     n = x.size
     lin = x + x.sum() - (n + 1.0)
-    g = 2.0 * (lin[:-1].sum() + lin[:-1])
-    g = np.concatenate([g, [2.0 * lin[:-1].sum()]])
-    prod = float(np.prod(x))
-    # d(prod)/dx_k = product of the other entries; recompute directly so
-    # zero entries stay exact.
-    partials = np.array(
-        [np.prod(np.delete(x, k)) for k in range(n)]
-    )
+    head = lin[:-1].sum()
+    g = 2.0 * (head + lin)
+    g[-1] = 2.0 * head
+    prod = float(x.prod())
+    # d(prod)/dx_k is the product of the other entries.  Column k of the
+    # masked matrix is x with 1.0 in place of x_k, and prod(axis=0) folds
+    # each column left to right, so every partial is the same left fold as
+    # np.prod(np.delete(x, k)), times an exact 1.0: bit for bit equal, and
+    # exact at zero entries.  Prefix and suffix products would be O(n) but
+    # reassociate the product, which moves the last bits and, through the
+    # line search, the evaluation counts.
+    partials = np.where(_diagonal(n), 1.0, x[:, None]).prod(axis=0)
     return g + 2.0 * (prod - 1.0) * partials
 
 
@@ -170,7 +191,7 @@ def make_regularized(p):
         return np.array([p.value(x), float(x @ x)])
 
     def jac(x):
-        return np.vstack([p.gradient(x), 2.0 * x])
+        return np.array([p.gradient(x), 2.0 * x])
 
     return MultiObjectiveProblem(
         f"{p.name}-L2", p.n, 2, p.standard_start, objectives, jac
@@ -189,7 +210,7 @@ def make_pair(p1, p2):
         return np.array([p1.value(x), p2.value(x)])
 
     def jac(x):
-        return np.vstack([p1.gradient(x), p2.gradient(x)])
+        return np.array([p1.gradient(x), p2.gradient(x)])
 
     return MultiObjectiveProblem(
         f"{p1.name}-{p2.name}", p1.n, 2, start, objectives, jac

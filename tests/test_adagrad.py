@@ -73,6 +73,16 @@ class TestConfig:
         with pytest.raises(InputError):
             AdagradConfig(criticality_tol=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-10, np.nan, np.inf, None])
+    def test_subproblem_tol_positive_finite(self, bad):
+        with pytest.raises(InputError):
+            AdagradConfig(subproblem_tol=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_thin_at_least_one(self, bad):
+        with pytest.raises(InputError):
+            AdagradConfig(thin=bad)
+
 
 class TestRun:
     def test_converges_to_pareto_segment(self):

@@ -105,6 +105,16 @@ class TestConfig:
         assert cfg.beta == 0.1
         assert cfg.min_step == 2.0**-50
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-10, np.nan, np.inf, None])
+    def test_subproblem_tol_positive_finite(self, bad):
+        with pytest.raises(InputError):
+            DescentConfig(subproblem_tol=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_thin_at_least_one(self, bad):
+        with pytest.raises(InputError):
+            DescentConfig(thin=bad)
+
 
 class TestRun:
     def test_converges_to_pareto_segment(self):

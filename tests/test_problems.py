@@ -1,5 +1,7 @@
 """Tests for the problem abstraction, counters, and the noise wrapper."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,8 +11,11 @@ from mograd import (
     InputError,
     MultiObjectiveProblem,
     NoiseSpec,
+    RunStatus,
     make_regularized,
     quadratic_pair,
+    run_adagrad,
+    run_descent,
     wrap_noisy,
 )
 from mograd.suite import SCALAR_PROBLEMS
@@ -89,6 +94,45 @@ class TestJacobian:
         with pytest.raises(EvaluationOverflowError) as err:
             p.jacobian([1e4])
         assert err.value.index == (0, 0)
+
+
+class TestOverflowIndex:
+    @pytest.mark.parametrize(
+        "values, index",
+        [
+            ([1.0, np.inf, np.nan, -np.inf], 1),
+            ([np.nan, 2.0, np.inf], 0),
+            ([1.0, 2.0, -np.inf], 2),
+        ],
+    )
+    def test_evaluate_names_first_nonfinite_objective(self, values, index):
+        y = np.array(values)
+        p = MultiObjectiveProblem(
+            "BAD", 1, y.size, (0.0,), lambda x: y, lambda x: np.zeros((y.size, 1))
+        )
+        with pytest.raises(EvaluationOverflowError) as err:
+            p.evaluate([0.5])
+        assert err.value.index == index
+        assert f"objective {index} " in str(err.value)
+        assert np.array_equal(err.value.x, [0.5])
+
+    @pytest.mark.parametrize(
+        "rows, index",
+        [
+            ([[1.0, 2.0, 3.0], [4.0, np.nan, np.inf]], (1, 1)),
+            ([[1.0, np.inf, 0.0], [np.nan, 1.0, 0.0]], (0, 1)),
+            ([[np.nan, 1.0, 0.0], [1.0, 1.0, 0.0]], (0, 0)),
+            ([[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]], (1, 2)),
+        ],
+    )
+    def test_jacobian_names_first_nonfinite_entry_row_major(self, rows, index):
+        G = np.array(rows)
+        p = MultiObjectiveProblem("BAD", 3, 2, np.zeros(3), lambda x: np.zeros(2), lambda x: G)
+        with pytest.raises(EvaluationOverflowError) as err:
+            p.jacobian(np.ones(3))
+        assert err.value.index == index
+        assert f"entry {index} " in str(err.value)
+        assert np.array_equal(err.value.x, np.ones(3))
 
 
 class TestPhi:
@@ -172,3 +216,34 @@ class TestNoiseWrapper:
         assert abs(vals.mean() - v) <= 4.0 * rho * abs(v) / np.sqrt(reps)
         # Spread matches the law as well.
         assert np.isclose(vals.std(), rho * abs(v), rtol=0.05)
+
+    def _huge(self):
+        # Finite outputs that a factor 1 + 0.5*xi above 1.06 takes past
+        # the largest double; NoiseSpec(0.5, 0) draws xi = 0.126 first.
+        return MultiObjectiveProblem(
+            "HUGE",
+            1,
+            2,
+            (0.0,),
+            lambda x: np.array([1.7e308, 1.0]),
+            lambda x: np.array([[1.7e308], [1.0]]),
+        )
+
+    @pytest.mark.parametrize("oracle, index", [("evaluate", 0), ("jacobian", (0, 0))])
+    def test_noise_overflow_is_typed(self, oracle, index):
+        noisy = wrap_noisy(self._huge(), NoiseSpec(0.5, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationOverflowError) as err:
+                getattr(noisy, oracle)([0.25])
+        assert err.value.index == index
+        assert np.array_equal(err.value.x, [0.25])
+
+    @pytest.mark.parametrize("run", [run_adagrad, run_descent])
+    def test_noise_overflow_fails_the_run(self, run):
+        noisy = wrap_noisy(self._huge(), NoiseSpec(0.5, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run(noisy)
+        assert rec.status == RunStatus.FAILED
+        assert "gradient entry (0, 0) is non-finite" in rec.failure_reason

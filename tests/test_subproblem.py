@@ -439,3 +439,33 @@ class TestSolveDirection:
         a = solve_direction(G3)
         b = min_norm_element(G3)
         assert abs(a.omega - b.omega) <= 1e-12 * (1.0 + a.omega)
+
+    def test_two_rows_match_min_norm_two_bit_for_bit(self, rng):
+        cases = [rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-8, 8) for n in (1, 2, 10)]
+        for _ in range(200):
+            cases.append(rng.normal(size=(2, 10)) * np.exp(rng.uniform(-20, 20, size=(2, 10))))
+        g = rng.normal(size=5)
+        cases += [np.array([g, g]), np.array([g, 2.0 * g]), np.array([g, -g]), np.zeros((2, 5))]
+        for G in cases:
+            a = solve_direction(G)
+            b = min_norm_two(G[0], G[1])
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.gradient.tobytes() == b.gradient.tobytes()
+            assert np.float64(a.omega).tobytes() == np.float64(b.omega).tobytes()
+            assert a.iterations == b.iterations == 0
+
+    def test_two_rows_checked_once(self, monkeypatch):
+        calls = []
+        check = subproblem._check_matrix
+
+        def counting(G):
+            calls.append(np.shape(G))
+            return check(G)
+
+        monkeypatch.setattr(subproblem, "_check_matrix", counting)
+        G = np.array([[1.0, 2.0], [3.0, -1.0]])
+        sol = solve_direction(G)
+        assert calls == [(2, 2)]
+        assert sol.jacobian is G  # no copy of the already-checked matrix
+        with pytest.raises(InputError):
+            solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))

@@ -75,6 +75,102 @@ class TestGradients:
         assert fd_relative_error(p.gradient(x), numeric) < 1e-6
 
 
+# The ARWHEAD, VARDIM and BROWNAL formulas as first written (np.sum, a
+# fresh np.arange, and one np.prod(np.delete(x, k)) per partial): the
+# catalog's faster forms must reproduce them bit for bit, since a last-bit
+# change moves the iterates and, through the line search, the pinned
+# evaluation counts.
+
+
+def _arwhead_reference(x):
+    head = x[:-1] ** 2 + x[-1] ** 2
+    return float(np.sum(head**2 - 4.0 * x[:-1] + 3.0))
+
+
+def _arwhead_grad_reference(x):
+    head = x[:-1] ** 2 + x[-1] ** 2
+    g = np.empty_like(x)
+    g[:-1] = 4.0 * x[:-1] * head - 4.0
+    g[-1] = 4.0 * x[-1] * np.sum(head)
+    return g
+
+
+def _vardim_reference(x):
+    n = x.size
+    lin = float(np.arange(1, n + 1) @ x) - n * (n + 1) / 2.0
+    return float(np.sum((x - 1.0) ** 2)) + lin**2 + lin**4
+
+
+def _vardim_grad_reference(x):
+    n = x.size
+    idx = np.arange(1, n + 1, dtype=float)
+    lin = float(idx @ x) - n * (n + 1) / 2.0
+    return 2.0 * (x - 1.0) + (2.0 * lin + 4.0 * lin**3) * idx
+
+
+def _brownal_reference(x):
+    n = x.size
+    lin = x + x.sum() - (n + 1.0)
+    prod = float(np.prod(x))
+    return float(np.sum(lin[:-1] ** 2)) + (prod - 1.0) ** 2
+
+
+def _brownal_grad_reference(x):
+    n = x.size
+    lin = x + x.sum() - (n + 1.0)
+    g = 2.0 * (lin[:-1].sum() + lin[:-1])
+    g = np.concatenate([g, [2.0 * lin[:-1].sum()]])
+    prod = float(np.prod(x))
+    partials = np.array([np.prod(np.delete(x, k)) for k in range(n)])
+    return g + 2.0 * (prod - 1.0) * partials
+
+
+def _hard_points(rng, count, log_scale):
+    """Points of R^10 with exact zeros and magnitudes e^-s .. e^s, mixed signs."""
+    for _ in range(count):
+        x = rng.normal(size=10) * np.exp(rng.uniform(-log_scale, log_scale, size=10))
+        x[rng.random(10) < 0.15] = 0.0
+        yield x
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestBitExactFormulas:
+    @pytest.mark.parametrize(
+        "name, value, gradient",
+        [
+            ("ARWHEAD", _arwhead_reference, _arwhead_grad_reference),
+            ("VARDIM", _vardim_reference, _vardim_grad_reference),
+            ("BROWNAL", _brownal_reference, _brownal_grad_reference),
+        ],
+    )
+    def test_values_and_gradients_match_first_formulas(self, name, value, gradient, rng):
+        p = SCALAR_PROBLEMS[name]
+        # Scales up to e^3 keep every value finite (lin**4 and the squared
+        # product are Python floats, which raise rather than overflow).
+        for x in _hard_points(rng, 2000, 3.0):
+            assert _bits(p.value(x)) == _bits(value(x))
+            assert _bits(p.gradient(x)) == _bits(gradient(x))
+
+    def test_brownal_partials_match_deleted_products(self, rng):
+        # The gradient is finite over a far wider range than the value; its
+        # partial products are where the masked product replaced np.delete.
+        p = SCALAR_PROBLEMS["BROWNAL"]
+        for x in _hard_points(rng, 5000, 20.0):
+            assert _bits(p.gradient(x)) == _bits(_brownal_grad_reference(x))
+
+    def test_stacked_jacobians_match_vstack(self, rng):
+        brownal, vardim = SCALAR_PROBLEMS["BROWNAL"], SCALAR_PROBLEMS["VARDIM"]
+        pair, reg = make_pair(brownal, vardim), make_regularized(vardim)
+        for x in _hard_points(rng, 200, 3.0):
+            want = np.vstack([brownal.gradient(x), vardim.gradient(x)])
+            assert _bits(pair.jacobian(x)) == _bits(want)
+            want = np.vstack([vardim.gradient(x), 2.0 * x])
+            assert _bits(reg.jacobian(x)) == _bits(want)
+
+
 class TestConstruction:
     def test_regularized_name_and_shape(self):
         p = make_regularized(SCALAR_PROBLEMS["ROSENBR"])
