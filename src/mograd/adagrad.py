@@ -1,44 +1,46 @@
-"""Objective-function-free multi-objective Adagrad.
+"""Objective-function-free multi-objective Adagrad, and the solver loop.
 
 Each iteration solves the min-norm subproblem at the current point,
 accumulates the squared norm of the combined gradient into a scalar
 weight w_k = sqrt(varsigma + sum of past ||g||^2), and steps along
 -g / w_k.  No objective value is ever evaluated: criticality is read off
 the subproblem, and the adaptive weight replaces the line search.
+Both drivers run :func:`_drive`; descent only swaps in its step rule.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .problems import ConvergenceError, EvaluationOverflowError, InputError
+from .problems import (
+    ConvergenceError,
+    EvaluationOverflowError,
+    InputError,
+    LineSearchError,
+)
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
 from .subproblem import _check_tol, solve_direction
 
 
 @dataclass(frozen=True)
-class AdagradConfig:
-    """Parameters of the adaptive-weight solver.
+class SolverConfig:
+    """Parameters shared by both drivers.
 
-    varsigma seeds the weight accumulator (w before any step is
-    sqrt(varsigma)); the run stops once the combined gradient norm drops
-    to criticality_tol, the gradient budget is exhausted, or an
-    evaluation fails.
+    The run stops once the combined gradient norm drops to
+    criticality_tol, the gradient budget is exhausted, or an evaluation
+    fails; the trajectory keeps every thin-th iterate.
     """
 
-    varsigma: float = 1e-2
     criticality_tol: float = 1e-6
     gradient_budget: int = 100_000
     subproblem_tol: float = 1e-10
     thin: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.varsigma < 1.0:
-            raise InputError(f"varsigma must be in (0, 1), got {self.varsigma}")
         if not self.criticality_tol > 0:
             raise InputError(
                 f"criticality_tol must be > 0, got {self.criticality_tol}"
@@ -52,12 +54,23 @@ class AdagradConfig:
             raise InputError(f"thin must be >= 1, got {self.thin}")
 
     def echo(self):
-        return {
-            "varsigma": self.varsigma,
-            "criticality_tol": self.criticality_tol,
-            "gradient_budget": self.gradient_budget,
-            "subproblem_tol": self.subproblem_tol,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "thin"}
+
+
+@dataclass(frozen=True)
+class AdagradConfig(SolverConfig):
+    """Parameters of the adaptive-weight solver.
+
+    varsigma seeds the weight accumulator (w before any step is
+    sqrt(varsigma)).
+    """
+
+    varsigma: float = 1e-2
+
+    def __post_init__(self):
+        if not 0.0 < self.varsigma < 1.0:
+            raise InputError(f"varsigma must be in (0, 1), got {self.varsigma}")
+        super().__post_init__()
 
 
 @dataclass
@@ -90,6 +103,58 @@ def adagrad_step(state, g_s):
     )
 
 
+def _drive(problem, x0, config, seed, solver, step):
+    """The solver loop; ``step(x, G, sol, critical) -> (scale, next_x)``.
+
+    A failed oracle call or subproblem ends the run Failed with no row; a
+    failed step ends it Failed with a NaN-scale row.
+    """
+    x = np.array(problem.standard_start if x0 is None else x0, dtype=float)
+    traj = _TrajectoryBuilder(config.thin)
+    status = RunStatus.BUDGET_EXHAUSTED
+    reason = None
+    k = 0
+
+    start = time.perf_counter()
+    while problem.counters.gradient_evals < config.gradient_budget:
+        try:
+            G = problem.jacobian(x)
+            sol = solve_direction(G, tol=config.subproblem_tol)
+        except (EvaluationOverflowError, ConvergenceError) as exc:
+            status, reason = RunStatus.FAILED, str(exc)
+            break
+        critical = math.sqrt(sol.omega) <= config.criticality_tol
+        try:
+            scale, next_x = step(x, G, sol, critical)
+        except (LineSearchError, EvaluationOverflowError) as exc:
+            traj.append(k, x, sol.omega, math.nan, problem.counters)
+            status, reason = RunStatus.FAILED, str(exc)
+            break
+        traj.append(k, x, sol.omega, scale, problem.counters)
+        if critical:
+            status = RunStatus.CRITICAL
+            break
+        x = next_x
+        k += 1
+    wall = time.perf_counter() - start
+
+    return RunRecord(
+        problem=problem.name,
+        solver=solver,
+        config=config.echo(),
+        seed=seed,
+        noise_rho=problem.noise_rho,
+        n=problem.n,
+        status=status,
+        final_x=np.array(x),
+        trajectory=traj.build(final_k=k, final_x=x),
+        gradient_evals=problem.counters.gradient_evals,
+        objective_evals=problem.counters.objective_evals,
+        wall_time=wall,
+        failure_reason=reason,
+    )
+
+
 def run_adagrad(problem, x0=None, config=None, *, seed=None):
     """Run the solver until criticality, budget exhaustion, or failure.
 
@@ -98,41 +163,13 @@ def run_adagrad(problem, x0=None, config=None, *, seed=None):
     counter is untouched by construction.
     """
     config = config or AdagradConfig()
-    x0 = problem.standard_start if x0 is None else np.asarray(x0, dtype=float)
-    state = initial_state(x0.copy(), config.varsigma)
-    traj = _TrajectoryBuilder(config.thin)
-    status = RunStatus.BUDGET_EXHAUSTED
-    reason = None
+    state = None
 
-    start = time.perf_counter()
-    while problem.counters.gradient_evals < config.gradient_budget:
-        try:
-            G = problem.jacobian(state.x)
-            sol = solve_direction(G, tol=config.subproblem_tol)
-        except (EvaluationOverflowError, ConvergenceError) as exc:
-            status = RunStatus.FAILED
-            reason = str(exc)
-            break
-        nxt = adagrad_step(state, sol.gradient)
-        traj.append(state.k, state.x, sol.omega, nxt.w, problem.counters)
-        if math.sqrt(sol.omega) <= config.criticality_tol:
-            status = RunStatus.CRITICAL
-            break
-        state = nxt
-    wall = time.perf_counter() - start
+    def step(x, G, sol, critical):
+        # The loop only ever moves to the point returned here, so after
+        # the first call state.x is x.
+        nonlocal state
+        state = adagrad_step(state or initial_state(x, config.varsigma), sol.gradient)
+        return state.w, state.x
 
-    return RunRecord(
-        problem=problem.name,
-        solver="adagrad",
-        config=config.echo(),
-        seed=seed,
-        noise_rho=problem.noise_rho,
-        n=problem.n,
-        status=status,
-        final_x=np.array(state.x),
-        trajectory=traj.build(final_k=state.k, final_x=state.x),
-        gradient_evals=problem.counters.gradient_evals,
-        objective_evals=problem.counters.objective_evals,
-        wall_time=wall,
-        failure_reason=reason,
-    )
+    return _drive(problem, x0, config, seed, "adagrad", step)

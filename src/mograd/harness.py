@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,18 +142,15 @@ def rate_check(record, l_max, gamma0, varsigma=None):
     return RateReport(theta, running, bound, bool(np.all(running <= bound)))
 
 
-def _solver_config(solver, budget, tol, varsigma, beta, thin):
+def _run_solver(solver, problem, x0, seed, budget, tol, varsigma, beta, thin):
+    """Build ``solver``'s config and run it through this module's runner names."""
+    shared = dict(criticality_tol=tol, gradient_budget=budget, thin=thin)
     if solver == "adagrad":
-        return AdagradConfig(
-            varsigma=varsigma,
-            criticality_tol=tol,
-            gradient_budget=budget,
-            thin=thin,
-        )
+        config = AdagradConfig(varsigma=varsigma, **shared)
+        return run_adagrad(problem, x0, config, seed=seed)
     if solver == "descent":
-        return DescentConfig(
-            beta=beta, criticality_tol=tol, gradient_budget=budget, thin=thin
-        )
+        config = DescentConfig(beta=beta, **shared)
+        return run_descent(problem, x0, config, seed=seed)
     raise ConfigError(f"unknown solver {solver!r}; valid: {SOLVERS}")
 
 
@@ -185,9 +181,9 @@ def run_cell(
         problem = wrap_noisy(problem, NoiseSpec(rho=rho, seed=seed))
     if thin is None:
         thin = max(1, budget // 10_000)
-    config = _solver_config(solver, budget, criticality_tol, varsigma, beta, thin)
-    runner = run_adagrad if solver == "adagrad" else run_descent
-    return runner(problem, x0, config, seed=seed)
+    return _run_solver(
+        solver, problem, x0, seed, budget, criticality_tol, varsigma, beta, thin
+    )
 
 
 _CONFIG_DEFAULTS = {
@@ -340,9 +336,7 @@ def run_multitask(
     """
     dataset = multitask.generate_dataset(kind, N=N, seed=seed)
     problem = multitask.as_problem(dataset)
-    config = _solver_config(solver, iters, 1e-12, varsigma, beta, thin=1)
-    runner = run_adagrad if solver == "adagrad" else run_descent
-    record = runner(problem, None, config, seed=seed)
+    record = _run_solver(solver, problem, None, seed, iters, 1e-12, varsigma, beta, 1)
 
     accs = {}
     best = (-1.0, -1)

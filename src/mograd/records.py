@@ -38,8 +38,6 @@ class Trajectory:
 
 class _TrajectoryBuilder:
     def __init__(self, thin):
-        if thin < 1:
-            raise ValueError(f"thin must be >= 1, got {thin}")
         self.thin = thin
         self.omega = []
         self.scale = []
@@ -55,8 +53,8 @@ class _TrajectoryBuilder:
         if k % self.thin == 0:
             self.x[k] = np.array(x)
 
-    def build(self, final_k=None, final_x=None):
-        if final_k is not None and final_k not in self.x:
+    def build(self, final_k, final_x):
+        if final_k not in self.x:
             self.x[final_k] = np.array(final_x)
         return Trajectory(
             np.asarray(self.omega, dtype=float),

@@ -122,21 +122,22 @@ def _diagonal(n):
 
 def _vardim(x):
     n = x.size
-    lin = float(_index(n) @ x) - n * (n + 1) / 2.0
+    # A numpy scalar (as prod in BROWNAL): its powers overflow to inf, not raise.
+    lin = _index(n) @ x - n * (n + 1) / 2.0
     return float(((x - 1.0) ** 2).sum()) + lin**2 + lin**4
 
 
 def _vardim_grad(x):
     n = x.size
     idx = _index(n)
-    lin = float(idx @ x) - n * (n + 1) / 2.0
+    lin = idx @ x - n * (n + 1) / 2.0
     return 2.0 * (x - 1.0) + (2.0 * lin + 4.0 * lin**3) * idx
 
 
 def _brownal(x):
     n = x.size
     lin = x + x.sum() - (n + 1.0)
-    prod = float(x.prod())
+    prod = x.prod()
     return float((lin[:-1] ** 2).sum()) + (prod - 1.0) ** 2
 
 
@@ -146,7 +147,7 @@ def _brownal_grad(x):
     head = lin[:-1].sum()
     g = 2.0 * (head + lin)
     g[-1] = 2.0 * head
-    prod = float(x.prod())
+    prod = x.prod()
     # d(prod)/dx_k is the product of the other entries.  Column k of the
     # masked matrix is x with 1.0 in place of x_k, and prod(axis=0) folds
     # each column left to right, so every partial is the same left fold as

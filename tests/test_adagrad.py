@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import segment_distance
+from contract import ConfigContract, RunContract
 from mograd import (
     AdagradConfig,
     InputError,
@@ -58,7 +59,10 @@ class TestStep:
             adagrad_step(state, np.array([np.inf]))
 
 
-class TestConfig:
+class TestConfig(ConfigContract):
+    config = AdagradConfig
+    echo_keys = {"varsigma", "criticality_tol", "gradient_budget", "subproblem_tol"}
+
     def test_defaults(self):
         cfg = AdagradConfig()
         assert cfg.varsigma == 0.01
@@ -69,22 +73,16 @@ class TestConfig:
         with pytest.raises(InputError):
             AdagradConfig(varsigma=bad)
 
-    def test_tol_positive(self):
-        with pytest.raises(InputError):
-            AdagradConfig(criticality_tol=0.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-10, np.nan, np.inf, None])
-    def test_subproblem_tol_positive_finite(self, bad):
-        with pytest.raises(InputError):
-            AdagradConfig(subproblem_tol=bad)
+class TestRun(RunContract):
+    run = staticmethod(run_adagrad)
+    config = AdagradConfig
+    overflow_in_step = False
 
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_thin_at_least_one(self, bad):
-        with pytest.raises(InputError):
-            AdagradConfig(thin=bad)
+    def critical_scale(self, record):
+        # The weight the step would have used: sqrt(varsigma + omega_0).
+        return math.sqrt(record.config["varsigma"] + record.trajectory.omega[0])
 
-
-class TestRun:
     def test_converges_to_pareto_segment(self):
         p = quadratic_pair(a=(1.0, 0.0), b=(-1.0, 0.0))
         rec = run_adagrad(p, x0=np.array([0.0, 1.0]))
@@ -92,29 +90,11 @@ class TestRun:
         assert math.sqrt(rec.trajectory.omega[-1]) <= 1e-6
         assert segment_distance(rec.final_x, (1, 0), (-1, 0)) <= 1e-3
 
-    def test_critical_start_takes_no_step(self):
-        p = quadratic_pair()
-        x0 = np.array([0.5, 0.0])  # on the segment
-        rec = run_adagrad(p, x0=x0)
-        assert rec.status == RunStatus.CRITICAL
-        assert rec.iterations == 1
-        assert np.array_equal(rec.final_x, x0)
-        assert rec.gradient_evals == 1
-
     def test_objective_function_free(self):
         p = quadratic_pair()
         rec = run_adagrad(p, x0=np.array([3.0, -2.0]))
         assert rec.objective_evals == 0
         assert p.counters.objective_evals == 0
-
-    def test_budget_exhaustion_exact(self):
-        p = quadratic_pair()
-        cfg = AdagradConfig(criticality_tol=1e-300, gradient_budget=57)
-        rec = run_adagrad(p, x0=np.array([0.0, 1.0]), config=cfg)
-        assert rec.status in (RunStatus.BUDGET_EXHAUSTED, RunStatus.CRITICAL)
-        assert rec.gradient_evals <= 57
-        if rec.status == RunStatus.BUDGET_EXHAUSTED:
-            assert rec.gradient_evals == 57
 
     def test_weight_recurrence_across_run(self):
         p = quadratic_pair()
@@ -169,23 +149,3 @@ class TestRun:
         t = rec.trajectory
         assert np.array_equal(t.gradient_evals, np.arange(1, len(t) + 1))
         assert np.all(t.objective_evals == 0)
-
-    def test_thinning_keeps_first_and_last(self):
-        # Parallel linear objectives: omega is constant, so the budget binds.
-        def objectives(x):
-            s = x[0] + x[1]
-            return np.array([s, 2.0 * s])
-
-        def jac(x):
-            return np.array([[1.0, 1.0], [2.0, 2.0]])
-
-        p = MultiObjectiveProblem("RAMP", 2, 2, (0.0, 0.0), objectives, jac)
-        cfg = AdagradConfig(gradient_budget=100, thin=7)
-        rec = run_adagrad(p, config=cfg)
-        assert rec.status == RunStatus.BUDGET_EXHAUSTED
-        assert rec.gradient_evals == 100
-        ks = sorted(rec.trajectory.x)
-        assert ks[0] == 0
-        assert ks[-1] == 100  # final post-step point
-        assert all(k % 7 == 0 for k in ks[:-1])
-        assert_allclose(rec.trajectory.omega, 2.0)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import segment_distance
+from contract import ConfigContract, RunContract
 from mograd import (
     DescentConfig,
     InputError,
@@ -94,29 +95,40 @@ class TestArmijo:
             armijo_backtrack(p, x, np.zeros(2), p.jacobian(x), beta=0.1)
 
 
-class TestConfig:
+class TestConfig(ConfigContract):
+    config = DescentConfig
+    echo_keys = {
+        "beta",
+        "criticality_tol",
+        "gradient_budget",
+        "min_step",
+        "subproblem_tol",
+    }
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1])
     def test_beta_range(self, bad):
         with pytest.raises(InputError):
             DescentConfig(beta=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_min_step_positive(self, bad):
+        with pytest.raises(InputError, match="min_step must be > 0"):
+            DescentConfig(min_step=bad)
 
     def test_defaults(self):
         cfg = DescentConfig()
         assert cfg.beta == 0.1
         assert cfg.min_step == 2.0**-50
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-10, np.nan, np.inf, None])
-    def test_subproblem_tol_positive_finite(self, bad):
-        with pytest.raises(InputError):
-            DescentConfig(subproblem_tol=bad)
 
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_thin_at_least_one(self, bad):
-        with pytest.raises(InputError):
-            DescentConfig(thin=bad)
+class TestRun(RunContract):
+    run = staticmethod(run_descent)
+    config = DescentConfig
+    overflow_in_step = True
 
+    def critical_scale(self, record):
+        return np.nan
 
-class TestRun:
     def test_converges_to_pareto_segment(self):
         p = quadratic_pair(a=(1.0, 0.0), b=(-1.0, 0.0))
         rec = run_descent(p, x0=np.array([0.0, 1.0]))

@@ -26,6 +26,7 @@ from mograd import (
     run_multitask,
     theta_constant,
 )
+from mograd import harness
 from mograd.harness import load_config, load_summary, load_trajectory_csv
 
 
@@ -152,6 +153,26 @@ class TestRunCell:
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
             run_cell("MOP1", "simplex")
+        with pytest.raises(ConfigError):
+            run_multitask("quadrants", "simplex", iters=1, N=40)
+
+    @pytest.mark.parametrize("solver", ["adagrad", "descent"])
+    def test_runners_resolved_at_call_time(self, solver, monkeypatch):
+        # Wrappers bound to harness.run_adagrad/run_descent (the benchmark's
+        # tracer, say) must see every run_cell and run_multitask call.
+        name = f"run_{solver}"
+        real = getattr(harness, name)
+        calls = []
+
+        def recorded(problem, x0, config, *, seed):
+            calls.append((problem.name, type(config).__name__, config.thin))
+            return real(problem, x0, config, seed=seed)
+
+        monkeypatch.setattr(harness, name, recorded)
+        assert run_cell("ROSENBR-L2", solver, budget=20).solver == solver
+        run_multitask("quadrants", solver, iters=2, N=40)
+        config = f"{solver.capitalize()}Config"
+        assert calls == [("ROSENBR-L2", config, 1), ("multitask-quadrants", config, 1)]
 
 
 class TestConfig:

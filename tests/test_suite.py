@@ -1,5 +1,7 @@
 """Tests for the problem catalog: formulas, gradients, and construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import fd_jacobian, fd_relative_error
 from mograd import (
     CATALOG,
+    EvaluationOverflowError,
     InputError,
     RunStatus,
     SCALAR_PROBLEMS,
@@ -17,6 +20,7 @@ from mograd import (
     make_regularized,
     quadratic_pair,
     random_start,
+    run_adagrad,
     run_descent,
     solve_direction,
 )
@@ -148,8 +152,9 @@ class TestBitExactFormulas:
     )
     def test_values_and_gradients_match_first_formulas(self, name, value, gradient, rng):
         p = SCALAR_PROBLEMS[name]
-        # Scales up to e^3 keep every value finite (lin**4 and the squared
-        # product are Python floats, which raise rather than overflow).
+        # Scales up to e^3 keep every value finite (the first formulas take
+        # lin**4 and the squared product of Python floats, which raise
+        # rather than overflow).
         for x in _hard_points(rng, 2000, 3.0):
             assert _bits(p.value(x)) == _bits(value(x))
             assert _bits(p.gradient(x)) == _bits(gradient(x))
@@ -169,6 +174,32 @@ class TestBitExactFormulas:
             assert _bits(pair.jacobian(x)) == _bits(want)
             want = np.vstack([vardim.gradient(x), 2.0 * x])
             assert _bits(reg.jacobian(x)) == _bits(want)
+
+
+class TestOverflow:
+    # Finite points where lin**4 (VARDIM) or the squared product (BROWNAL)
+    # leaves the float range: the oracle must report it, not raise
+    # OverflowError.
+    @pytest.mark.parametrize(
+        "name, scale",
+        [("ARWHEAD-VARDIM", 1e110), ("BROWNAL-VARDIM", 1e110), ("BROWNAL-L2", 1e20)],
+    )
+    @pytest.mark.parametrize("oracle", ["evaluate", "jacobian"])
+    def test_oracles_raise_typed(self, name, scale, oracle):
+        p = get_problem(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationOverflowError):
+                getattr(p, oracle)(np.full(10, scale))
+
+    @pytest.mark.parametrize("run", [run_adagrad, run_descent])
+    def test_drivers_end_failed(self, run):
+        p = get_problem("ARWHEAD-VARDIM")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run(p, x0=np.full(10, 1e110))
+        assert rec.status == RunStatus.FAILED
+        assert "gradient entry (0, 0) is non-finite" in rec.failure_reason
 
 
 class TestConstruction:
