@@ -10,13 +10,10 @@ classification instances, and an experiment harness with a CLI round out
 the toolkit.
 """
 
-from .adagrad import AdagradConfig, IterateState, adagrad_step, initial_state, run_adagrad
+from .adagrad import AdagradConfig, adagrad_step, initial_state, run_adagrad
 from .descent import DescentConfig, armijo_backtrack, run_descent
 from .harness import (
     ConfigError,
-    MultitaskResult,
-    ProfileTable,
-    RateReport,
     budget_cost,
     export,
     noise_distance_table,
@@ -45,7 +42,6 @@ from .multitask import (
 )
 from .problems import (
     ConvergenceError,
-    EvalCounters,
     EvaluationOverflowError,
     InputError,
     LineSearchError,
@@ -53,21 +49,18 @@ from .problems import (
     NoiseSpec,
     wrap_noisy,
 )
-from .records import RunRecord, RunStatus, Trajectory
+from .records import RunStatus
 from .subproblem import (
-    SubproblemSolution,
     UnsupportedSizeError,
     brute_force_min_norm,
     kkt_residual,
     min_norm_element,
     min_norm_two,
-    project_to_simplex,
     solve_direction,
 )
 from .suite import (
     CATALOG,
     SCALAR_PROBLEMS,
-    ScalarProblem,
     get_benchmark,
     get_problem,
     list_problems,
@@ -84,23 +77,14 @@ __all__ = [
     "ConvergenceError",
     "Dataset",
     "DescentConfig",
-    "EvalCounters",
     "EvaluationOverflowError",
     "InputError",
-    "IterateState",
     "KINDS",
     "LineSearchError",
     "MultiObjectiveProblem",
-    "MultitaskResult",
     "NoiseSpec",
-    "ProfileTable",
-    "RateReport",
-    "RunRecord",
     "RunStatus",
-    "ScalarProblem",
     "SCALAR_PROBLEMS",
-    "SubproblemSolution",
-    "Trajectory",
     "UnsupportedSizeError",
     "accuracy",
     "adagrad_step",
@@ -127,7 +111,6 @@ __all__ = [
     "noise_distances",
     "performance_profile",
     "profile_from_records",
-    "project_to_simplex",
     "quadrant_label",
     "quadratic_pair",
     "random_start",

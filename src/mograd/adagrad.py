@@ -75,12 +75,11 @@ class AdagradConfig(SolverConfig):
 
 @dataclass
 class IterateState:
-    """One point of the Adagrad recursion: w == sqrt(varsigma + sum_sq)."""
+    """One point of the Adagrad recursion: w_k^2 = varsigma + sum of ||g||^2."""
 
     k: int
     x: np.ndarray
     w: float
-    sum_sq: float = 0.0
 
 
 def initial_state(x0, varsigma):
@@ -96,18 +95,16 @@ def adagrad_step(state, g_s):
     g_s = np.asarray(g_s, dtype=float)
     if not np.isfinite(g_s).all():
         raise InputError("g_s contains non-finite entries")
-    sq = float(g_s @ g_s)
-    w = math.sqrt(state.w * state.w + sq)
-    return IterateState(
-        k=state.k + 1, x=state.x - g_s / w, w=w, sum_sq=state.sum_sq + sq
-    )
+    w = math.sqrt(state.w * state.w + float(g_s @ g_s))
+    return IterateState(k=state.k + 1, x=state.x - g_s / w, w=w)
 
 
 def _drive(problem, x0, config, seed, solver, step):
     """The solver loop; ``step(x, G, sol, critical) -> (scale, next_x)``.
 
-    A failed oracle call or subproblem ends the run Failed with no row; a
-    failed step ends it Failed with a NaN-scale row.
+    A failed oracle call or subproblem, or an omega that overflows, ends
+    the run Failed with no row; a failed step ends it Failed with a
+    NaN-scale row.
     """
     x = np.array(problem.standard_start if x0 is None else x0, dtype=float)
     traj = _TrajectoryBuilder(config.thin)
@@ -120,6 +117,10 @@ def _drive(problem, x0, config, seed, solver, step):
         try:
             G = problem.jacobian(x)
             sol = solve_direction(G, tol=config.subproblem_tol)
+            if not math.isfinite(sol.omega):
+                raise EvaluationOverflowError(
+                    f"{problem.name}: omega is non-finite at x={x}", None, x
+                )
         except (EvaluationOverflowError, ConvergenceError) as exc:
             status, reason = RunStatus.FAILED, str(exc)
             break

@@ -110,43 +110,29 @@ def _cmd_multitask(args):
     return 0
 
 
-class _RecordView:
-    """Just enough of a record for rate_check, rebuilt from export files."""
+def _load_omega(path, varsigma):
+    """Omega column and varsigma of an exported run.
 
-    def __init__(self, omega, config):
-        from .records import Trajectory
-
-        self.trajectory = Trajectory(
-            np.asarray(omega, dtype=float),
-            np.full(len(omega), np.nan),
-            np.zeros(len(omega), dtype=int),
-            np.zeros(len(omega), dtype=int),
+    A summary names its run's trajectory CSV and carries its varsigma; a
+    bare trajectory CSV takes ``varsigma`` as given.
+    """
+    if not path.endswith(".json"):
+        return harness.load_trajectory_csv(path)["omega"], varsigma
+    recs = harness.load_summary(path)["records"]
+    if len(recs) != 1:
+        raise ConfigError(
+            f"{path}: expected exactly one record, found {len(recs)}"
         )
-        self.config = config
-
-
-def _load_record_view(path, varsigma):
-    if path.endswith(".json"):
-        summary = harness.load_summary(path)
-        recs = summary["records"]
-        if len(recs) != 1:
-            raise ConfigError(
-                f"{path}: expected exactly one record, found {len(recs)}"
-            )
-        row = recs[0]
-        stem = harness._stem(
-            row["problem"], row["solver"], row["seed"], row["noise_rho"]
-        )
-        csv_path = os.path.join(os.path.dirname(path), stem + ".csv")
-        cols = harness.load_trajectory_csv(csv_path)
-        return _RecordView(cols["omega"], row["config"])
-    cols = harness.load_trajectory_csv(path)
-    return _RecordView(cols["omega"], {"varsigma": varsigma})
+    row = recs[0]
+    stem = harness._stem(row["problem"], row["solver"], row["seed"], row["noise_rho"])
+    csv_path = os.path.join(os.path.dirname(path), stem + ".csv")
+    omega = harness.load_trajectory_csv(csv_path)["omega"]
+    return omega, row["config"].get("varsigma")
 
 
 def _cmd_rate_check(args):
-    view = _load_record_view(args.record, args.varsigma)
-    report = harness.rate_check(view, args.lmax, args.gamma0)
+    omega, varsigma = _load_omega(args.record, args.varsigma)
+    report = harness._rate_report(omega, varsigma, args.lmax, args.gamma0)
     worst = float(np.max(report.running_avg * np.arange(1, len(report.running_avg) + 1)))
     print(f"theta = {report.theta:g}")
     print(f"max cumulative omega = {worst:g}")

@@ -130,28 +130,39 @@ def rate_check(record, l_max, gamma0, varsigma=None):
     """Check avg(omega_0..omega_k) <= theta/(k+1) at every recorded k.
 
     ``record`` may be a RunRecord or anything with a ``trajectory.omega``
-    array and a config echo carrying varsigma.
+    array and a config echo; ``varsigma`` defaults to the echo's.
     """
     if varsigma is None:
-        varsigma = record.config["varsigma"]
+        varsigma = record.config.get("varsigma")
+    return _rate_report(record.trajectory.omega, varsigma, l_max, gamma0)
+
+
+def _rate_report(omega, varsigma, l_max, gamma0):
+    """The check of :func:`rate_check` on an omega column."""
+    if varsigma is None:
+        raise ConfigError("rate check needs varsigma, which only adagrad runs record")
     theta = theta_constant(varsigma, l_max, gamma0)
-    omega = np.asarray(record.trajectory.omega, dtype=float)
+    omega = np.asarray(omega, dtype=float)
     k = np.arange(1, len(omega) + 1)
     running = np.cumsum(omega) / k
     bound = theta / k
     return RateReport(theta, running, bound, bool(np.all(running <= bound)))
 
 
-def _run_solver(solver, problem, x0, seed, budget, tol, varsigma, beta, thin):
-    """Build ``solver``'s config and run it through this module's runner names."""
+def _solver_config(solver, budget, tol, varsigma, beta, thin):
     shared = dict(criticality_tol=tol, gradient_budget=budget, thin=thin)
     if solver == "adagrad":
-        config = AdagradConfig(varsigma=varsigma, **shared)
-        return run_adagrad(problem, x0, config, seed=seed)
+        return AdagradConfig(varsigma=varsigma, **shared)
     if solver == "descent":
-        config = DescentConfig(beta=beta, **shared)
-        return run_descent(problem, x0, config, seed=seed)
+        return DescentConfig(beta=beta, **shared)
     raise ConfigError(f"unknown solver {solver!r}; valid: {SOLVERS}")
+
+
+def _run_solver(solver, problem, x0, seed, budget, tol, varsigma, beta, thin):
+    """Build ``solver``'s config and run it through this module's runner names."""
+    config = _solver_config(solver, budget, tol, varsigma, beta, thin)
+    run = run_adagrad if solver == "adagrad" else run_descent
+    return run(problem, x0, config, seed=seed)
 
 
 def run_cell(
@@ -220,11 +231,24 @@ def load_config(source):
     for name in merged["problems"]:
         if name not in CATALOG:
             raise ConfigError(f"config field 'problems': unknown problem {name!r}")
+    if merged["budget"] < 1:
+        raise ConfigError("config field 'budget': must be >= 1")
+    thin = 1 if merged["thin"] is None else merged["thin"]
     for solver in merged["solvers"]:
         if solver not in SOLVERS:
             raise ConfigError(f"config field 'solvers': unknown solver {solver!r}")
-    if merged["budget"] < 1:
-        raise ConfigError("config field 'budget': must be >= 1")
+        try:
+            _solver_config(
+                solver, merged["budget"], merged["criticality_tol"],
+                merged["varsigma"], merged["beta"], thin,
+            )
+        except InputError as exc:
+            raise ConfigError(f"config for solver {solver!r}: {exc}") from exc
+    seeds = merged["seeds"]
+    if not isinstance(seeds, list) or not all(
+        isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in seeds
+    ):
+        raise ConfigError("config field 'seeds': must be a list of ints")
     for rho in merged["noise"]:
         if rho < 0:
             raise ConfigError("config field 'noise': levels must be >= 0")
@@ -304,15 +328,16 @@ def noise_distances(records):
 def noise_distance_table(
     problem_names, solvers=SOLVERS, noise_levels=(0.05,), seeds=(0,), **cell_kwargs
 ):
-    """Run the noisy-robustness experiment and reduce it to distances."""
-    records = []
-    for name in problem_names:
-        for solver in solvers:
-            for seed in seeds:
-                for rho in (0.0, *noise_levels):
-                    records.append(
-                        run_cell(name, solver, seed=seed, rho=rho, **cell_kwargs)
-                    )
+    """Run the noise experiment's cells, rho = 0 first, and reduce them to distances."""
+    records = run_experiment(
+        {
+            "problems": list(problem_names),
+            "solvers": list(solvers),
+            "seeds": list(seeds),
+            "noise": [0.0, *noise_levels],
+            **cell_kwargs,
+        }
+    )
     return noise_distances(records), records
 
 

@@ -20,8 +20,8 @@ class EvaluationOverflowError(ArithmeticError):
     """An oracle returned a non-finite value.
 
     Attributes record where it happened: ``index`` is the offending objective
-    index (or ``(objective, variable)`` pair for a Jacobian entry) and ``x``
-    is the evaluation point.
+    index (or ``(objective, variable)`` pair for a Jacobian entry, None for
+    omega) and ``x`` is the evaluation point.
     """
 
     def __init__(self, message, index, x):
@@ -69,9 +69,6 @@ class EvalCounters:
     def reset(self):
         self.objective_evals = 0
         self.gradient_evals = 0
-
-    def snapshot(self):
-        return EvalCounters(self.objective_evals, self.gradient_evals)
 
 
 class MultiObjectiveProblem:
@@ -163,8 +160,12 @@ class NoiseSpec:
             raise InputError(f"noise level must be finite and >= 0, got {self.rho}")
 
 
-class NoisyProblem(MultiObjectiveProblem):
-    """Relative-noise view of a base problem; counters live on the base."""
+class NoisyProblem:
+    """Relative-noise view of a base problem; counters live on the base.
+
+    Only what the drivers read is exposed: no ``phi``, which would give the
+    base's exact values.
+    """
 
     def __init__(self, base, spec):
         self._base = base
@@ -174,14 +175,8 @@ class NoisyProblem(MultiObjectiveProblem):
         self.n = base.n
         self.m = base.m
         self.standard_start = base.standard_start
-
-    @property
-    def noise_rho(self):
-        return self.spec.rho
-
-    @property
-    def counters(self):
-        return self._base.counters
+        self.noise_rho = spec.rho
+        self.counters = base.counters
 
     def evaluate(self, x):
         y = self._base.evaluate(x)

@@ -74,12 +74,6 @@ class SubproblemSolution:
         """The common descent direction -gradient."""
         return -self.gradient
 
-    def normalized_direction(self):
-        """Unit-length descent direction; requires omega > 0."""
-        if self.omega <= 0.0:
-            raise InputError("normalized direction undefined at a critical point")
-        return -self.gradient / np.sqrt(self.omega)
-
 
 def _check_matrix(G):
     G = np.asarray(G, dtype=float)
@@ -129,15 +123,6 @@ def kkt_residual(G, weights):
     worst = max(0.0, float((sq - inner).max()))
     support = float(lam @ np.abs(inner - sq))
     return (worst + support) / (1.0 + sq)
-
-
-def project_to_simplex(v):
-    """Euclidean projection of ``v`` onto the unit simplex (sort based)."""
-    v = np.asarray(v, dtype=float)
-    u = -np.sort(-v)
-    css = (np.cumsum(u) - 1.0) / np.arange(1, v.size + 1)
-    k = np.flatnonzero(u > css)[-1]
-    return np.maximum(v - css[k], 0.0)
 
 
 def min_norm_two(g1, g2):
@@ -253,11 +238,11 @@ def solve_direction(G, tol=1e-10):
     """Subproblem route used inside the solvers.
 
     Two objectives take the exact closed form; larger instances run
-    Wolfe's active-set method.
+    Wolfe's active-set method, which checks G itself.
     """
-    G = _check_matrix(G)
-    if G.shape[0] == 2:
-        return _min_norm_rows(G)
+    G = np.asarray(G, dtype=float)
+    if G.ndim == 2 and G.shape[0] == 2:
+        return _min_norm_rows(_check_matrix(G))
     return min_norm_element(G, tol=tol)
 
 

@@ -5,6 +5,8 @@ classes and set the driver, its config class and what differs between
 the two step rules, so each check runs once per driver.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -74,6 +76,12 @@ def _runaway():
     return MultiObjectiveProblem("RUNAWAY", 1, 2, (705.0,), objectives, jac)
 
 
+def _bigg():
+    # Finite gradients whose combined gradient's squared norm overflows.
+    c = 1e200 * np.eye(2)
+    return MultiObjectiveProblem("BIGG", 2, 2, [1, 1], lambda x: c @ x, lambda x: c)
+
+
 class RunContract:
     """What the solver loop guarantees whichever step rule it runs."""
 
@@ -139,3 +147,15 @@ class RunContract:
             assert rec.gradient_evals == rec.iterations + 1
             assert np.isfinite(rec.trajectory.scale).all()
             assert last == rec.iterations
+
+    def test_omega_overflow_fails_at_once(self):
+        with warnings.catch_warnings():
+            # Squaring the combined gradient's norm overflows, with a warning.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rec = self.run(_bigg(), config=self.config(gradient_budget=500))
+        assert rec.status == RunStatus.FAILED
+        assert rec.gradient_evals == 1
+        assert rec.objective_evals == 0
+        assert rec.iterations == 0
+        assert "omega is non-finite" in rec.failure_reason
+        assert np.array_equal(rec.final_x, [1.0, 1.0])

@@ -44,14 +44,16 @@ class TestStep:
             state = adagrad_step(state, c)
             expected_w = math.sqrt(varsigma + (k + 1) * float(c @ c))
             assert state.w == pytest.approx(expected_w, rel=1e-12)
-        assert state.sum_sq == pytest.approx(100 * float(c @ c), rel=1e-12)
 
     def test_weight_invariant(self):
         state = initial_state(np.zeros(1), varsigma=0.25)
         rng = np.random.default_rng(0)
+        sum_sq = 0.0
         for _ in range(50):
-            state = adagrad_step(state, rng.normal(size=1))
-            assert state.w == pytest.approx(math.sqrt(0.25 + state.sum_sq), rel=1e-12)
+            g = rng.normal(size=1)
+            sum_sq += float(g @ g)
+            state = adagrad_step(state, g)
+            assert state.w == pytest.approx(math.sqrt(0.25 + sum_sq), rel=1e-12)
 
     def test_nonfinite_direction_rejected(self):
         state = initial_state(np.zeros(1), varsigma=0.01)

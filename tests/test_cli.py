@@ -210,6 +210,7 @@ class TestRateCheck:
             ]
         )
         assert code == 2
+        assert "varsigma" in capsys.readouterr().err
 
 
 class TestEntryPoint:

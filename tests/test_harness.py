@@ -122,6 +122,11 @@ class TestRateCheck:
         report = rate_check(view, l_max=0.1, gamma0=0.0)
         assert not report.holds
 
+    def test_descent_record_names_varsigma(self):
+        rec = run_cell("MOP1", "descent", budget=50)
+        with pytest.raises(ConfigError, match="varsigma"):
+            rate_check(rec, l_max=1.0, gamma0=1.0)
+
     def test_varsigma_override(self):
         view = SimpleNamespace(
             trajectory=SimpleNamespace(omega=np.array([0.0])), config={}
@@ -205,11 +210,32 @@ class TestConfig:
             ({"problems": ["MOP1"], "solvers": ["cg"]}, "cg"),
             ({"problems": ["MOP1"], "budget": 0}, "budget"),
             ({"problems": ["MOP1"], "noise": [-0.1]}, "noise"),
+            ({"problems": ["MOP1"], "varsigma": 2.0, "criticality_tol": -1}, "varsigma"),
+            ({"problems": ["MOP1"], "criticality_tol": -1}, "criticality_tol"),
+            ({"problems": ["MOP1"], "beta": 1.5}, "beta"),
+            ({"problems": ["MOP1"], "solvers": ["adagrad"], "thin": 0}, "thin"),
+            ({"problems": ["MOP1"], "seeds": 3}, "seeds"),
+            ({"problems": ["MOP1"], "seeds": [0, 1.5]}, "seeds"),
         ],
     )
     def test_invalid_configs_name_the_field(self, cfg, field):
         with pytest.raises(ConfigError, match=field):
             load_config(cfg)
+
+    def test_unused_solver_parameters_not_checked(self):
+        # varsigma belongs to adagrad; a descent-only config ignores it.
+        cfg = load_config({"problems": ["MOP1"], "solvers": ["descent"], "varsigma": 2.0})
+        assert cfg["varsigma"] == 2.0
+
+    def test_bad_solver_parameter_runs_no_cell(self, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "run_cell", lambda *a, **k: cells.append(a))
+        cfg = {"problems": ["MOP1"], "solvers": ["descent", "adagrad"], "varsigma": 2.0}
+        with pytest.raises(ConfigError, match="varsigma"):
+            run_experiment(cfg)
+        with pytest.raises(ConfigError, match="varsigma"):
+            noise_distance_table(["MOP1"], varsigma=2.0)
+        assert cells == []
 
 
 class TestRunExperiment:
@@ -247,6 +273,26 @@ class TestNoise:
         d = distances[("MOP1", "adagrad", 0.01)]
         assert math.isfinite(d) and d >= 0.0
         assert len(records) == 4
+
+    def test_table_runs_the_experiment_cells(self, monkeypatch):
+        calls = []
+        cell = harness.run_cell
+
+        def counting(name, solver, **kwargs):
+            calls.append((name, solver, kwargs["seed"], kwargs["rho"], kwargs["budget"]))
+            return cell(name, solver, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", counting)
+        noise_distance_table(
+            ["MOP1", "T2"], noise_levels=(0.01, 0.02), seeds=(0, 1), budget=50
+        )
+        assert calls == [
+            (name, solver, seed, rho, 50)
+            for name in ("MOP1", "T2")
+            for solver in ("adagrad", "descent")
+            for seed in (0, 1)
+            for rho in (0.0, 0.01, 0.02)
+        ]
 
     def test_missing_reference_rejected(self):
         rec = run_cell("MOP1", "adagrad", seed=0, rho=0.05)

@@ -157,11 +157,6 @@ class TestCounters:
         assert reg_rosenbrock.counters.objective_evals == 0
         assert reg_rosenbrock.counters.gradient_evals == 0
 
-    def test_snapshot_is_independent(self, reg_rosenbrock):
-        snap = reg_rosenbrock.counters.snapshot()
-        reg_rosenbrock.evaluate([0.0, 0.0])
-        assert snap.objective_evals == 0
-
 
 class TestNoiseWrapper:
     def test_rho_zero_bit_identical(self, reg_rosenbrock):
@@ -192,6 +187,17 @@ class TestNoiseWrapper:
         assert reg_rosenbrock.counters.objective_evals == 1
         assert reg_rosenbrock.counters.gradient_evals == 1
         assert noisy.counters is reg_rosenbrock.counters
+
+    def test_exposes_the_driver_surface_only(self, reg_rosenbrock):
+        noisy = wrap_noisy(reg_rosenbrock, NoiseSpec(rho=0.05, seed=1))
+        assert not isinstance(noisy, MultiObjectiveProblem)
+        assert (noisy.name, noisy.n, noisy.m) == (
+            reg_rosenbrock.name, reg_rosenbrock.n, reg_rosenbrock.m
+        )
+        assert noisy.standard_start is reg_rosenbrock.standard_start
+        assert noisy.noise_rho == 0.05
+        # The base's exact phi would hide the noise.
+        assert not hasattr(noisy, "phi")
 
     def test_negative_rho_rejected(self):
         with pytest.raises(InputError):

@@ -12,34 +12,10 @@ from mograd import (
     kkt_residual,
     min_norm_element,
     min_norm_two,
-    project_to_simplex,
     solve_direction,
     subproblem,
 )
 from mograd.suite import SCALAR_PROBLEMS
-
-
-class TestProjection:
-    def test_already_on_simplex(self):
-        v = np.array([0.2, 0.3, 0.5])
-        assert_allclose(project_to_simplex(v), v)
-
-    def test_known_projection(self):
-        # Projection of (1, 0) onto the 2-simplex keeps the vertex.
-        assert_allclose(project_to_simplex(np.array([1.0, 0.0])), [1.0, 0.0])
-
-    def test_random_projection_is_closest_feasible_point(self, rng):
-        from mograd.subproblem import _simplex_grid
-
-        # Compare against a dense grid of simplex points.
-        grid = _simplex_grid(3, 200)
-        for _ in range(20):
-            v = rng.normal(size=3) * 3.0
-            p = project_to_simplex(v)
-            assert p.min() >= 0.0
-            assert abs(p.sum() - 1.0) < 1e-12
-            dists = np.linalg.norm(grid - v, axis=1)
-            assert np.linalg.norm(p - v) <= dists.min() + 1e-4
 
 
 class TestMinNormTwo:
@@ -135,7 +111,8 @@ class TestMinNormElement:
         for _ in range(50):
             G = rng.normal(size=(4, 3))
             a = min_norm_element(G, tol=tol)
-            w0 = project_to_simplex(rng.uniform(size=4))
+            u = rng.uniform(size=4)
+            w0 = u / u.sum()
             b = min_norm_element(G, tol=tol, weights0=w0)
             assert np.linalg.norm(a.gradient - b.gradient) <= 10 * tol * (
                 1.0 + np.linalg.norm(a.gradient)
@@ -469,3 +446,28 @@ class TestSolveDirection:
         assert sol.jacobian is G  # no copy of the already-checked matrix
         with pytest.raises(InputError):
             solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    def test_three_rows_checked_once(self, monkeypatch):
+        calls = []
+        solves = []
+        check = subproblem._check_matrix
+        wolfe = subproblem.min_norm_element
+
+        def counting(G):
+            calls.append(np.shape(G))
+            return check(G)
+
+        def counted_solve(G, tol):
+            solves.append(tol)
+            return wolfe(G, tol=tol)
+
+        monkeypatch.setattr(subproblem, "_check_matrix", counting)
+        # The tracer counts min_norm_element through the module global.
+        monkeypatch.setattr(subproblem, "min_norm_element", counted_solve)
+        G = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
+        sol = solve_direction(G, tol=1e-12)
+        assert calls == [(3, 2)]
+        assert solves == [1e-12]
+        assert sol.jacobian is G
+        with pytest.raises(InputError):
+            solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
