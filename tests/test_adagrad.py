@@ -48,12 +48,12 @@ class TestStep:
     def test_weight_invariant(self):
         state = initial_state(np.zeros(1), varsigma=0.25)
         rng = np.random.default_rng(0)
-        sum_sq = 0.0
+        squares = 0.0
         for _ in range(50):
             g = rng.normal(size=1)
-            sum_sq += float(g @ g)
+            squares += float(g @ g)
             state = adagrad_step(state, g)
-            assert state.w == pytest.approx(math.sqrt(0.25 + sum_sq), rel=1e-12)
+            assert state.w == pytest.approx(math.sqrt(0.25 + squares), rel=1e-12)
 
     def test_nonfinite_direction_rejected(self):
         state = initial_state(np.zeros(1), varsigma=0.01)
