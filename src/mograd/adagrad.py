@@ -103,40 +103,60 @@ def _drive(problem, x0, config, seed, solver, step):
     """The solver loop; ``step(x, G, sol, critical) -> (scale, next_x)``.
 
     A failed oracle call or subproblem, or an omega that overflows, ends
-    the run Failed with no row; a failed step ends it Failed with a
-    NaN-scale row.
+    the run Failed with no row; a failed step, or one that leaves a
+    non-finite point, ends it Failed with a NaN-scale row.
+
+    ``x0`` is checked once, raising :class:`InputError`; for the rest of
+    the run the oracles skip their per-call point check and the loop runs
+    under one ``np.errstate``.  Every point the run makes is tested here
+    (and each line search tests its first candidate), which the per-call
+    check would only repeat: a finite omega bounds ``|g|`` below about
+    1.3e154, far under half an ulp at the top of the float range, so a
+    step of at most ``|g|`` from a finite point stays finite.
     """
-    x = np.array(problem.standard_start if x0 is None else x0, dtype=float)
+    base = problem
+    while hasattr(base, "_base"):  # the problem under its noise wrappers
+        base = base._base
+    x = base._check_x(np.array(problem.standard_start if x0 is None else x0, dtype=float))
     traj = _TrajectoryBuilder(config.thin)
     status = RunStatus.BUDGET_EXHAUSTED
     reason = None
     k = 0
 
+    base._in_run = True
     start = time.perf_counter()
-    while problem.counters.gradient_evals < config.gradient_budget:
-        try:
-            G = problem.jacobian(x)
-            sol = solve_direction(G, tol=config.subproblem_tol)
-            if not math.isfinite(sol.omega):
-                raise EvaluationOverflowError(
-                    f"{problem.name}: omega is non-finite at x={x}", None, x
-                )
-        except (EvaluationOverflowError, ConvergenceError) as exc:
-            status, reason = RunStatus.FAILED, str(exc)
-            break
-        critical = math.sqrt(sol.omega) <= config.criticality_tol
-        try:
-            scale, next_x = step(x, G, sol, critical)
-        except (LineSearchError, EvaluationOverflowError) as exc:
-            traj.append(k, x, sol.omega, math.nan, problem.counters)
-            status, reason = RunStatus.FAILED, str(exc)
-            break
-        traj.append(k, x, sol.omega, scale, problem.counters)
-        if critical:
-            status = RunStatus.CRITICAL
-            break
-        x = next_x
-        k += 1
+    try:
+        with np.errstate(all="ignore"):
+            while problem.counters.gradient_evals < config.gradient_budget:
+                try:
+                    G = problem.jacobian(x)
+                    sol = solve_direction(G, tol=config.subproblem_tol)
+                    if not math.isfinite(sol.omega):
+                        raise EvaluationOverflowError(
+                            f"{problem.name}: omega is non-finite at x={x}", None, x
+                        )
+                except (EvaluationOverflowError, ConvergenceError) as exc:
+                    status, reason = RunStatus.FAILED, str(exc)
+                    break
+                critical = math.sqrt(sol.omega) <= config.criticality_tol
+                try:
+                    scale, next_x = step(x, G, sol, critical)
+                    if not np.isfinite(next_x).all():
+                        raise EvaluationOverflowError(
+                            f"{problem.name}: step from x={x} is non-finite", None, x
+                        )
+                except (LineSearchError, EvaluationOverflowError) as exc:
+                    traj.append(k, x, sol.omega, math.nan, problem.counters)
+                    status, reason = RunStatus.FAILED, str(exc)
+                    break
+                traj.append(k, x, sol.omega, scale, problem.counters)
+                if critical:
+                    status = RunStatus.CRITICAL
+                    break
+                x = next_x
+                k += 1
+    finally:
+        base._in_run = False
     wall = time.perf_counter() - start
 
     return RunRecord(

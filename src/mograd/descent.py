@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adagrad import SolverConfig, _drive
-from .problems import InputError, LineSearchError
+from .problems import EvaluationOverflowError, InputError, LineSearchError
 
 # Not called here: perfbench/spans.py patches descent.solve_direction.
 from .subproblem import solve_direction  # noqa: F401
@@ -44,25 +44,35 @@ def armijo_backtrack(problem, x, g_s, grads, beta, min_step=MIN_STEP):
     Returns ``(t, objective_evals_used)``.  The reference values f(x) cost
     one objective evaluation and each tested t costs one more (a single
     m-vector oracle call per candidate).  Raises
-    :class:`LineSearchError` once t would fall below ``min_step``.
+    :class:`LineSearchError` once t would fall below ``min_step``, and
+    :class:`EvaluationOverflowError` if the first candidate ``x - g_s`` is
+    non-finite; every later candidate lies between ``x`` and that point.
     """
     g_s = np.asarray(g_s, dtype=float)
     if not np.isfinite(g_s).all() or not g_s.any():
         raise InputError("line search requires a finite nonzero direction")
-    slopes = np.asarray(grads, dtype=float) @ g_s
+    # t is a power of two, so t * (beta * slopes) is beta * t * slopes bit
+    # for bit unless a product is subnormal.
+    margin = beta * (np.asarray(grads, dtype=float) @ g_s)
     fx = problem.evaluate(x)
+    point = x - g_s
+    if not np.isfinite(point).all():
+        raise EvaluationOverflowError(
+            f"{problem.name}: line search point is non-finite from x={x}", None, x
+        )
     used = 1
     t = 1.0
     while True:
-        candidate = problem.evaluate(x - t * g_s)
+        candidate = problem.evaluate(point)
         used += 1
-        if (candidate <= fx - beta * t * slopes).all():
+        if (candidate <= fx - t * margin).all():
             return t, used
         t *= 0.5
         if t < min_step:
             raise LineSearchError(
                 f"backtracking fell below min_step={min_step:.3e}"
             )
+        point = x - t * g_s
 
 
 def run_descent(problem, x0=None, config=None, *, seed=None):

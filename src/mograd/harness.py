@@ -231,9 +231,15 @@ def load_config(source):
     for name in merged["problems"]:
         if name not in CATALOG:
             raise ConfigError(f"config field 'problems': unknown problem {name!r}")
-    if merged["budget"] < 1:
-        raise ConfigError("config field 'budget': must be >= 1")
+    budget = merged["budget"]
+    if not _is_int(budget) or budget < 1:
+        raise ConfigError("config field 'budget': must be an int >= 1")
+    for field in ("criticality_tol", "varsigma", "beta"):
+        if not _is_number(merged[field]):
+            raise ConfigError(f"config field {field!r}: must be a number")
     thin = 1 if merged["thin"] is None else merged["thin"]
+    if not _is_int(thin):
+        raise ConfigError("config field 'thin': must be an int or null")
     for solver in merged["solvers"]:
         if solver not in SOLVERS:
             raise ConfigError(f"config field 'solvers': unknown solver {solver!r}")
@@ -245,14 +251,22 @@ def load_config(source):
         except InputError as exc:
             raise ConfigError(f"config for solver {solver!r}: {exc}") from exc
     seeds = merged["seeds"]
-    if not isinstance(seeds, list) or not all(
-        isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in seeds
-    ):
+    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
         raise ConfigError("config field 'seeds': must be a list of ints")
-    for rho in merged["noise"]:
-        if rho < 0:
-            raise ConfigError("config field 'noise': levels must be >= 0")
+    noise = merged["noise"]
+    if not isinstance(noise, list) or not all(
+        _is_number(rho) and math.isfinite(rho) and rho >= 0 for rho in noise
+    ):
+        raise ConfigError("config field 'noise': must be a list of finite levels >= 0")
     return merged
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def run_experiment(config):

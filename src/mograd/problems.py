@@ -104,6 +104,8 @@ class MultiObjectiveProblem:
 
     # Noise level of the oracle; plain problems are exact.
     noise_rho = 0.0
+    # Set by a solver run for its duration; see evaluate().
+    _in_run = False
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)
@@ -116,20 +118,35 @@ class MultiObjectiveProblem:
         return x
 
     def evaluate(self, x):
-        """Objective vector f(x), counted as one objective evaluation."""
-        x = self._check_x(x)
-        with np.errstate(all="ignore"):
+        """Objective vector f(x), counted as one objective evaluation.
+
+        A public call checks ``x`` and raises :class:`InputError` for a
+        wrong shape or a non-finite entry.  Inside a solver run the point
+        is not checked again: the run checked ``x0`` once and checks each
+        point it makes (see :func:`mograd.adagrad._drive`).
+        """
+        if self._in_run:
             y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
+        else:
+            x = self._check_x(x)
+            with np.errstate(all="ignore"):
+                y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
         self.counters.objective_evals += 1
         if not np.isfinite(y).all():
             raise _overflow(self.name, y, x)
         return y
 
     def jacobian(self, x):
-        """Gradient rows, shape (m, n), counted as one gradient evaluation."""
-        x = self._check_x(x)
-        with np.errstate(all="ignore"):
+        """Gradient rows, shape (m, n), counted as one gradient evaluation.
+
+        ``x`` is checked as in :meth:`evaluate`.
+        """
+        if self._in_run:
             G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
+        else:
+            x = self._check_x(x)
+            with np.errstate(all="ignore"):
+                G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
         self.counters.gradient_evals += 1
         if not np.isfinite(G).all():
             raise _overflow(self.name, G, x)

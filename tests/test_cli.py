@@ -101,6 +101,16 @@ class TestProfile:
         assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "typo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields", [{"budget": "10"}, {"budget": True}, {"noise": 0.05}]
+    )
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"problems": ["MOP1"], **fields}))
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{next(iter(fields))}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
             ["profile", "--config", str(tmp_path / "gone.json"), "--out", str(tmp_path)]

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import segment_distance
 from contract import ConfigContract, RunContract
 from mograd import (
+    CATALOG,
     DescentConfig,
     InputError,
     LineSearchError,
@@ -17,9 +18,11 @@ from mograd import (
     armijo_backtrack,
     get_problem,
     quadratic_pair,
+    random_start,
     run_descent,
     solve_direction,
 )
+from mograd.descent import MIN_STEP
 
 
 def _bowl():
@@ -93,6 +96,55 @@ class TestArmijo:
         x = np.array([1.0, 0.0])
         with pytest.raises(InputError):
             armijo_backtrack(p, x, np.zeros(2), p.jacobian(x), beta=0.1)
+
+    def test_hoisted_margin_is_bit_identical(self):
+        # armijo_backtrack tests t * (beta * slopes) in place of
+        # beta * t * slopes.  Scaling by a power of two is exact while every
+        # product stays normal; a subnormal one may round apart.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        tiny = np.finfo(float).tiny
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+        @hypothesis.given(
+            k=st.integers(0, 50),
+            beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            s=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
+        )
+        def check(k, beta, s):
+            t = 2.0**-k
+            hypothesis.assume(min(beta * t, abs(beta * s), abs(t * (beta * s))) >= tiny)
+            assert (beta * t * s).hex() == (t * (beta * s)).hex()
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_matches_textbook_loop(self, name):
+        # At the standard start, or at a random one where that start is
+        # already Pareto critical and there is no step to search.
+        def textbook(p, x, g_s, grads, beta):
+            fx = p.evaluate(x)
+            slopes = grads @ g_s
+            t, used = 1.0, 1
+            while True:
+                used += 1
+                if np.all(p.evaluate(x - t * g_s) <= fx - beta * t * slopes):
+                    return t, used
+                t *= 0.5
+                assert t >= MIN_STEP  # no catalog start stalls
+
+        def outcome(search):
+            p = get_problem(name)
+            x = p.standard_start.copy()
+            g_s = solve_direction(p.jacobian(x)).gradient
+            if not g_s.any():
+                x = random_start(p, 0)
+            grads = p.jacobian(x)
+            t, used = search(p, x, solve_direction(grads).gradient, grads, 0.1)
+            assert used == p.counters.objective_evals
+            return t, used
+
+        assert outcome(armijo_backtrack) == outcome(textbook)
 
 
 class TestConfig(ConfigContract):

@@ -216,6 +216,17 @@ class TestConfig:
             ({"problems": ["MOP1"], "solvers": ["adagrad"], "thin": 0}, "thin"),
             ({"problems": ["MOP1"], "seeds": 3}, "seeds"),
             ({"problems": ["MOP1"], "seeds": [0, 1.5]}, "seeds"),
+            ({"problems": ["MOP1"], "budget": "10"}, "budget"),
+            ({"problems": ["MOP1"], "budget": True}, "budget"),
+            ({"problems": ["MOP1"], "budget": 10.0}, "budget"),
+            ({"problems": ["MOP1"], "noise": 0.05}, "noise"),
+            ({"problems": ["MOP1"], "noise": ["0.05"]}, "noise"),
+            ({"problems": ["MOP1"], "noise": [float("nan")]}, "noise"),
+            ({"problems": ["MOP1"], "noise": [True]}, "noise"),
+            ({"problems": ["MOP1"], "criticality_tol": "1e-6"}, "criticality_tol"),
+            ({"problems": ["MOP1"], "solvers": ["descent"], "varsigma": "0.1"}, "varsigma"),
+            ({"problems": ["MOP1"], "beta": None}, "beta"),
+            ({"problems": ["MOP1"], "thin": "2"}, "thin"),
         ],
     )
     def test_invalid_configs_name_the_field(self, cfg, field):
