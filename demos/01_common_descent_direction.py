@@ -30,7 +30,7 @@ print("two-gradient closed form")
 print("  weights      ", sol.weights)
 print("  g_s          ", sol.gradient)
 print("  omega        ", sol.omega)
-print("  direction    ", sol.descent_direction())
+print("  direction    ", -sol.gradient)
 
 # Both objectives strictly decrease along -g_s: the directional
 # derivatives equal -omega for every gradient with positive weight.

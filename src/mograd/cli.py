@@ -81,8 +81,7 @@ def _cmd_multitask(args):
     harness.export(
         [result.record], "json", os.path.join(args.out, "summary.json")
     )
-    dataset = multitask.generate_dataset(args.example, seed=args.seed)
-    multitask.to_csv(dataset, os.path.join(args.out, "dataset.csv"))
+    multitask.to_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
     lines = ["k,acc1,acc2,min_acc"]
     for k in sorted(result.test_accuracy):
         a1, a2, am = result.test_accuracy[k]

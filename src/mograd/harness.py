@@ -30,15 +30,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field or line."""
 
 
-def budget_cost(record, n=None):
+def budget_cost(record):
     """Evaluation cost: gradient_evals + objective_evals / n.
 
     Objective calls are cheap relative to a full Jacobian, so they count
     at one n-th of a gradient evaluation.  Objective-function-free runs
     cost exactly their gradient_evals.
     """
-    n = record.n if n is None else n
-    return record.gradient_evals + record.objective_evals / n
+    return record.gradient_evals + record.objective_evals / record.n
 
 
 @dataclass
@@ -126,15 +125,15 @@ def theta_constant(varsigma, l_max, gamma0):
     )
 
 
-def rate_check(record, l_max, gamma0, varsigma=None):
+def rate_check(record, l_max, gamma0):
     """Check avg(omega_0..omega_k) <= theta/(k+1) at every recorded k.
 
     ``record`` may be a RunRecord or anything with a ``trajectory.omega``
-    array and a config echo; ``varsigma`` defaults to the echo's.
+    array and a config echo; theta uses the echo's varsigma.
     """
-    if varsigma is None:
-        varsigma = record.config.get("varsigma")
-    return _rate_report(record.trajectory.omega, varsigma, l_max, gamma0)
+    return _rate_report(
+        record.trajectory.omega, record.config.get("varsigma"), l_max, gamma0
+    )
 
 
 def _rate_report(omega, varsigma, l_max, gamma0):
@@ -149,8 +148,14 @@ def _rate_report(omega, varsigma, l_max, gamma0):
     return RateReport(theta, running, bound, bool(np.all(running <= bound)))
 
 
-def _solver_config(solver, budget, tol, varsigma, beta, thin):
-    shared = dict(criticality_tol=tol, gradient_budget=budget, thin=thin)
+def _solver_config(
+    solver, budget, criticality_tol, thin=None,
+    varsigma=AdagradConfig.varsigma, beta=DescentConfig.beta,
+):
+    """``solver``'s config; ``thin=None`` means max(1, budget // 10 000)."""
+    if thin is None:
+        thin = max(1, budget // 10_000)
+    shared = dict(criticality_tol=criticality_tol, gradient_budget=budget, thin=thin)
     if solver == "adagrad":
         return AdagradConfig(varsigma=varsigma, **shared)
     if solver == "descent":
@@ -158,9 +163,9 @@ def _solver_config(solver, budget, tol, varsigma, beta, thin):
     raise ConfigError(f"unknown solver {solver!r}; valid: {SOLVERS}")
 
 
-def _run_solver(solver, problem, x0, seed, budget, tol, varsigma, beta, thin):
+def _run_solver(solver, problem, x0, seed, **params):
     """Build ``solver``'s config and run it through this module's runner names."""
-    config = _solver_config(solver, budget, tol, varsigma, beta, thin)
+    config = _solver_config(solver, **params)
     run = run_adagrad if solver == "adagrad" else run_descent
     return run(problem, x0, config, seed=seed)
 
@@ -180,7 +185,8 @@ def run_cell(
 
     Benchmark problems start uniformly in their box (seeded); all other
     instances use their standard start.  The same seed also seeds the
-    noise stream when rho > 0.
+    noise stream when rho != 0; a negative or non-finite rho raises
+    :class:`InputError`.
     """
     if problem_name not in CATALOG:
         raise ConfigError(f"unknown problem {problem_name!r}")
@@ -188,14 +194,16 @@ def run_cell(
     x0 = None
     if CATALOG[problem_name].origin == "benchmark":
         x0 = random_start(problem, seed)
-    if rho > 0:
+    if rho != 0:
         problem = wrap_noisy(problem, NoiseSpec(rho=rho, seed=seed))
-    if thin is None:
-        thin = max(1, budget // 10_000)
     return _run_solver(
-        solver, problem, x0, seed, budget, criticality_tol, varsigma, beta, thin
+        solver, problem, x0, seed, budget=budget, criticality_tol=criticality_tol,
+        varsigma=varsigma, beta=beta, thin=thin,
     )
 
+
+# The config fields passed unchanged to every run_cell call.
+_CELL_PARAMS = ("budget", "criticality_tol", "varsigma", "beta", "thin")
 
 _CONFIG_DEFAULTS = {
     "problems": None,
@@ -237,17 +245,13 @@ def load_config(source):
     for field in ("criticality_tol", "varsigma", "beta"):
         if not _is_number(merged[field]):
             raise ConfigError(f"config field {field!r}: must be a number")
-    thin = 1 if merged["thin"] is None else merged["thin"]
-    if not _is_int(thin):
+    if merged["thin"] is not None and not _is_int(merged["thin"]):
         raise ConfigError("config field 'thin': must be an int or null")
     for solver in merged["solvers"]:
         if solver not in SOLVERS:
             raise ConfigError(f"config field 'solvers': unknown solver {solver!r}")
         try:
-            _solver_config(
-                solver, merged["budget"], merged["criticality_tol"],
-                merged["varsigma"], merged["beta"], thin,
-            )
+            _solver_config(solver, **{k: merged[k] for k in _CELL_PARAMS})
         except InputError as exc:
             raise ConfigError(f"config for solver {solver!r}: {exc}") from exc
     seeds = merged["seeds"]
@@ -276,28 +280,17 @@ def run_experiment(config):
     Returns the records in deterministic cell order.
     """
     cfg = load_config(config)
-    records = []
-    for name in cfg["problems"]:
-        for solver in cfg["solvers"]:
-            for seed in cfg["seeds"]:
-                for rho in cfg["noise"]:
-                    records.append(
-                        run_cell(
-                            name,
-                            solver,
-                            seed=seed,
-                            rho=rho,
-                            budget=cfg["budget"],
-                            criticality_tol=cfg["criticality_tol"],
-                            varsigma=cfg["varsigma"],
-                            beta=cfg["beta"],
-                            thin=cfg["thin"],
-                        )
-                    )
-    return records
+    params = {k: cfg[k] for k in _CELL_PARAMS}
+    return [
+        run_cell(name, solver, seed=seed, rho=rho, **params)
+        for name in cfg["problems"]
+        for solver in cfg["solvers"]
+        for seed in cfg["seeds"]
+        for rho in cfg["noise"]
+    ]
 
 
-def profile_from_records(records, tau_grid=None):
+def profile_from_records(records):
     """Cost table and profile over records; Critical status counts as solved.
 
     Multi-seed cells are aggregated by averaging costs over the seeds on
@@ -311,7 +304,7 @@ def profile_from_records(records, tau_grid=None):
     for (p, s), rs in cells.items():
         ok = [budget_cost(r) for r in rs if r.status == RunStatus.CRITICAL]
         costs[(p, s)] = float(np.mean(ok)) if ok else None
-    return performance_profile(costs, tau_grid)
+    return performance_profile(costs)
 
 
 def noise_distances(records):
@@ -362,20 +355,22 @@ class MultitaskResult:
     best_min_accuracy: float
     best_iteration: int
     evals_at_best: tuple  # (gradient_evals, objective_evals)
+    dataset: multitask.Dataset  # the data the run trained and tested on
 
 
-def run_multitask(
-    kind, solver, iters=1000, seed=0, N=10_000, varsigma=1e-2, beta=0.1
-):
+def run_multitask(kind, solver, iters=1000, seed=0, N=10_000):
     """Train one multi-task example and track test accuracy per iterate.
 
     The solver runs for ``iters`` gradient evaluations (one per
-    iteration); accuracy is computed after the run from the stored
-    iterates, so it never touches the problem's counters.
+    iteration) with its default parameters; accuracy is computed after
+    the run from the stored iterates, so it never touches the problem's
+    counters.
     """
     dataset = multitask.generate_dataset(kind, N=N, seed=seed)
     problem = multitask.as_problem(dataset)
-    record = _run_solver(solver, problem, None, seed, iters, 1e-12, varsigma, beta, 1)
+    record = _run_solver(
+        solver, problem, None, seed, budget=iters, criticality_tol=1e-12, thin=1
+    )
 
     accs = {}
     best = (-1.0, -1)
@@ -389,7 +384,7 @@ def run_multitask(
         int(record.trajectory.gradient_evals[upto]),
         int(record.trajectory.objective_evals[upto]),
     )
-    return MultitaskResult(record, accs, best_min, best_k, evals)
+    return MultitaskResult(record, accs, best_min, best_k, evals, dataset)
 
 
 def _stem(problem, solver, seed, noise_rho):

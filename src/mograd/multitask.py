@@ -311,16 +311,30 @@ def to_csv(dataset, path):
 
 
 def from_csv(path, kind, seed=0):
-    """Rebuild a dataset from :func:`to_csv` output; features are recomputed."""
+    """Rebuild a dataset from :func:`to_csv` output; features are recomputed.
+
+    Raises :class:`InputError` naming the line of a row whose split is not
+    ``train`` or ``test`` or whose label is outside its task's classes.
+    """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-    points, labels1, labels2, train, test = [], [], [], [], []
+    classes1 = range(1, 5) if kind == "quadrants" else range(2)
+    points, labels1, labels2 = [], [], []
+    splits = {"train": [], "test": []}
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh)):
+            where = f"{path} line {i + 2}"
+            if row["split"] not in splits:
+                raise InputError(f"{where}: unknown split {row['split']!r}")
+            label1, label2 = int(row["label1"]), int(row["label2"])
+            if label1 not in classes1:
+                raise InputError(f"{where}: label1 {label1} outside {kind} classes")
+            if label2 not in range(2):
+                raise InputError(f"{where}: label2 {label2} is not 0 or 1")
             points.append((float(row["x1"]), float(row["x2"])))
-            labels1.append(int(row["label1"]))
-            labels2.append(int(row["label2"]))
-            (train if row["split"] == "train" else test).append(i)
+            labels1.append(label1)
+            labels2.append(label2)
+            splits[row["split"]].append(i)
     points = np.asarray(points)
     return Dataset(
         kind=kind,
@@ -329,6 +343,6 @@ def from_csv(path, kind, seed=0):
         features=_features(kind, points),
         labels_task1=np.asarray(labels1, dtype=int),
         labels_task2=np.asarray(labels2, dtype=int),
-        train_idx=np.asarray(train, dtype=int),
-        test_idx=np.asarray(test, dtype=int),
+        train_idx=np.asarray(splits["train"], dtype=int),
+        test_idx=np.asarray(splits["test"], dtype=int),
     )

@@ -61,14 +61,10 @@ def _overflow(name, values, x):
 
 @dataclass
 class EvalCounters:
-    """Cumulative oracle call counts. Monotone during a run; reset between runs."""
+    """Cumulative oracle call counts, monotone over the problem's life."""
 
     objective_evals: int = 0
     gradient_evals: int = 0
-
-    def reset(self):
-        self.objective_evals = 0
-        self.gradient_evals = 0
 
 
 class MultiObjectiveProblem:

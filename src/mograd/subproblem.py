@@ -70,10 +70,6 @@ class SubproblemSolution:
     def kkt_residual(self):
         return kkt_residual(self.jacobian, self.weights)
 
-    def descent_direction(self):
-        """The common descent direction -gradient."""
-        return -self.gradient
-
 
 def _check_matrix(G):
     G = np.asarray(G, dtype=float)
@@ -166,18 +162,18 @@ def _affine_minimizer(M):
     return np.linalg.lstsq(A, rhs, rcond=None)[0][:k]
 
 
-def min_norm_element(G, tol=1e-10, weights0=None):
+def min_norm_element(G, tol=1e-10):
     """Minimize ||G^T lam||^2 over the unit simplex by Wolfe's method.
 
     Wolfe's min-norm-point algorithm (P. Wolfe, "Finding the nearest point
     in a polytope", Math. Programming 11, 1976) on the Gram matrix
     M = G G^T, with G first divided by its largest absolute entry so that
     the steps and the stopping test do not depend on the scale of G.  The
-    support starts at the shortest row (or at the support of ``weights0``).
-    A minor step moves lam to the min-norm point of the support's affine
-    hull; when that point leaves the simplex, lam stops at the boundary
-    and the rows whose weight reached zero are dropped.  Once lam is that
-    point, a major step adds the row minimizing (M lam)_j.  The method ends
+    support starts at the shortest row.  A minor step moves lam to the
+    min-norm point of the support's affine hull; when that point leaves the
+    simplex, lam stops at the boundary and the rows whose weight reached
+    zero are dropped.  Once lam is that point, a major step adds the row
+    minimizing (M lam)_j.  The method ends
     when every row has (M lam)_j >= lam^T M lam - tol * max_j M_jj, or when
     the minimizing row is already in the support, so that no row misses
     that bound by more than rounding.  In exact arithmetic it ends after
@@ -190,10 +186,6 @@ def min_norm_element(G, tol=1e-10, weights0=None):
     _check_tol(tol)
     G = _check_matrix(G)
     m = G.shape[0]
-    if weights0 is not None:
-        lam = np.asarray(weights0, dtype=float).copy()
-        if lam.shape != (m,) or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-9:
-            raise InputError("weights0 must lie on the unit simplex")
     scale = float(np.abs(G).max(initial=0.0))
     if scale == 0.0:
         # All-zero gradients: every convex combination is the zero vector.
@@ -201,9 +193,8 @@ def min_norm_element(G, tol=1e-10, weights0=None):
     Gs = G / scale
     M = Gs @ Gs.T
     slack = tol * float(M.diagonal().max())
-    if weights0 is None:
-        lam = np.zeros(m)
-        lam[np.argmin(M.diagonal())] = 1.0
+    lam = np.zeros(m)
+    lam[np.argmin(M.diagonal())] = 1.0
     support = lam > 0.0
 
     steps = _STEPS_PER_ROW * m

@@ -352,20 +352,18 @@ START_BOX = (-2.0, 2.0)
 
 
 def get_benchmark(name):
-    """Benchmark instance by name; the start box is attached as ``.start_box``."""
+    """Benchmark instance by name; :func:`random_start` draws its starts."""
     if name not in _BENCHMARKS:
         raise KeyError(
             f"unknown benchmark {name!r}; valid names: {sorted(_BENCHMARKS)}"
         )
     objectives, jac = _BENCHMARKS[name]()
-    problem = MultiObjectiveProblem(name, 2, 2, (0.0, 0.0), objectives, jac)
-    problem.start_box = START_BOX
-    return problem
+    return MultiObjectiveProblem(name, 2, 2, (0.0, 0.0), objectives, jac)
 
 
 def random_start(problem, seed):
-    """Uniform start in the problem's box (default [-2, 2]^n)."""
-    lo, hi = getattr(problem, "start_box", START_BOX)
+    """Uniform start in the box ``START_BOX``^n, which every benchmark shares."""
+    lo, hi = START_BOX
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=problem.n)
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mograd import multitask
 from mograd.cli import main
 
 
@@ -71,6 +72,17 @@ class TestSolve:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["records"][0]["noise_rho"] == 0.05
+
+    @pytest.mark.parametrize("rho", ["-0.5", "nan"])
+    def test_bad_noise_exits_2_and_writes_nothing(self, tmp_path, capsys, rho):
+        out = tmp_path / "bad"
+        code = main(
+            ["solve", "--problem", "MOP1", "--solver", "adagrad", "--noise", rho,
+             "--budget", "50", "--out", str(out)]
+        )
+        assert code == 2
+        assert "noise level" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestProfile:
@@ -144,6 +156,24 @@ class TestMultitask:
         assert acc_lines[0] == "k,acc1,acc2,min_acc"
         assert len(acc_lines) == 2 + 5  # header + iterations 0..5
         assert "best min test accuracy" in capsys.readouterr().out
+
+    def test_dataset_generated_once_and_unchanged(self, tmp_path, monkeypatch):
+        real = multitask.generate_dataset
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multitask, "generate_dataset", counting)
+        out = tmp_path / "mt"
+        argv = ["multitask", "--example", "quadrants", "--solver", "descent",
+                "--iters", "2", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        expected = tmp_path / "expected.csv"
+        multitask.to_csv(real("quadrants", seed=3), expected)
+        assert (out / "dataset.csv").read_bytes() == expected.read_bytes()
 
     def test_unknown_example_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -41,9 +41,6 @@ class TestBudgetCost:
         assert budget_cost(_fake(10, 20, 10)) == pytest.approx(12.0)
         assert budget_cost(_fake(306, 3957, 25)) == pytest.approx(464.28)
 
-    def test_override_dimension(self):
-        assert budget_cost(_fake(10, 20, 10), n=20) == pytest.approx(11.0)
-
     def test_objective_free_run_costs_gradients_only(self):
         rec = run_adagrad(quadratic_pair(), x0=np.array([0.0, 1.0]))
         assert budget_cost(rec) == rec.gradient_evals
@@ -127,13 +124,6 @@ class TestRateCheck:
         with pytest.raises(ConfigError, match="varsigma"):
             rate_check(rec, l_max=1.0, gamma0=1.0)
 
-    def test_varsigma_override(self):
-        view = SimpleNamespace(
-            trajectory=SimpleNamespace(omega=np.array([0.0])), config={}
-        )
-        report = rate_check(view, l_max=1.0, gamma0=1.0, varsigma=0.02)
-        assert report.theta == pytest.approx(theta_constant(0.02, 1.0, 1.0))
-
 
 class TestRunCell:
     def test_fields_and_determinism(self):
@@ -154,6 +144,11 @@ class TestRunCell:
     def test_unknown_problem(self):
         with pytest.raises(ConfigError):
             run_cell("NOPE", "adagrad")
+
+    @pytest.mark.parametrize("rho", [-0.5, math.nan])
+    def test_bad_noise_level_rejected(self, rho):
+        with pytest.raises(InputError, match="noise level"):
+            run_cell("MOP1", "adagrad", rho=rho, budget=50)
 
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
@@ -259,6 +254,27 @@ class TestRunExperiment:
             ("MOP1", "descent"),
             ("T2", "adagrad"),
             ("T2", "descent"),
+        ]
+
+    def test_cell_parameters_forwarded(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            harness, "run_cell", lambda *args, **kwargs: calls.append((args, kwargs))
+        )
+        params = {
+            "budget": 77,
+            "criticality_tol": 1e-3,
+            "varsigma": 0.5,
+            "beta": 0.25,
+            "thin": 3,
+        }
+        run_experiment({**self.CFG, "seeds": [0, 2], "noise": [0.0, 0.1], **params})
+        assert calls == [
+            ((name, solver), {"seed": seed, "rho": rho, **params})
+            for name in ("MOP1", "T2")
+            for solver in ("adagrad", "descent")
+            for seed in (0, 2)
+            for rho in (0.0, 0.1)
         ]
 
     def test_deterministic_reruns(self):

@@ -330,6 +330,26 @@ class TestCsv:
         assert np.array_equal(back.test_idx, ds.test_idx)
         assert np.array_equal(back.features, ds.features)
 
+    @pytest.mark.parametrize(
+        "kind, column, value, message",
+        [
+            ("quadrants", "split", "valid", "unknown split 'valid'"),
+            ("quadrants", "label1", "7", "label1 7 outside quadrants classes"),
+            ("diagonals", "label1", "2", "label1 2 outside diagonals classes"),
+            ("quadrants", "label2", "-1", "label2 -1 is not 0 or 1"),
+        ],
+    )
+    def test_bad_row_rejected(self, tmp_path, kind, column, value, message):
+        path = tmp_path / "points.csv"
+        to_csv(generate_dataset(kind, N=20, seed=0), path)
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[5] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"line 6: {message}"):
+            from_csv(path, kind)
+
     def test_header(self, tmp_path):
         ds = generate_dataset("quadrants", N=20, seed=0)
         path = tmp_path / "points.csv"

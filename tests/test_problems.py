@@ -149,15 +149,6 @@ class TestPhi:
         assert p.phi([0.0, 0.0]) == pytest.approx(0.5)
 
 
-class TestCounters:
-    def test_reset(self, reg_rosenbrock):
-        reg_rosenbrock.evaluate([0.0, 0.0])
-        reg_rosenbrock.jacobian([0.0, 0.0])
-        reg_rosenbrock.counters.reset()
-        assert reg_rosenbrock.counters.objective_evals == 0
-        assert reg_rosenbrock.counters.gradient_evals == 0
-
-
 class TestNoiseWrapper:
     def test_rho_zero_bit_identical(self, reg_rosenbrock):
         noisy = wrap_noisy(reg_rosenbrock, NoiseSpec(rho=0.0, seed=3))
