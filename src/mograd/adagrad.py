@@ -21,6 +21,7 @@ from .problems import (
     EvaluationOverflowError,
     InputError,
     LineSearchError,
+    _finite,
 )
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
 from .subproblem import _check_tol, solve_direction
@@ -90,12 +91,16 @@ def adagrad_step(state, g_s):
     """Advance the recursion by one step; pure, no oracle calls.
 
     The weight is updated before the move, so the step taken at iteration
-    k is -g_s / w_k with w_k already including ||g_s||^2.
+    k is -g_s / w_k with w_k already including ||g_s||^2.  A non-finite
+    entry raises :class:`InputError`; a square that overflows warns, as any
+    numpy overflow does outside ``np.errstate``, and is then taken as inf.
     """
     g_s = np.asarray(g_s, dtype=float)
-    if not np.isfinite(g_s).all():
+    sq = float(g_s.dot(g_s))
+    # The square is finite unless an entry is non-finite or it overflows.
+    if not math.isfinite(sq) and not np.isfinite(g_s).all():
         raise InputError("g_s contains non-finite entries")
-    w = math.sqrt(state.w * state.w + float(g_s @ g_s))
+    w = math.sqrt(state.w * state.w + sq)
     return IterateState(k=state.k + 1, x=state.x - g_s / w, w=w)
 
 
@@ -141,7 +146,7 @@ def _drive(problem, x0, config, seed, solver, step):
                 critical = math.sqrt(sol.omega) <= config.criticality_tol
                 try:
                     scale, next_x = step(x, G, sol, critical)
-                    if not np.isfinite(next_x).all():
+                    if not _finite(next_x):
                         raise EvaluationOverflowError(
                             f"{problem.name}: step from x={x} is non-finite", None, x
                         )

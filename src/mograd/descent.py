@@ -53,7 +53,7 @@ def armijo_backtrack(problem, x, g_s, grads, beta, min_step=MIN_STEP):
         raise InputError("line search requires a finite nonzero direction")
     # t is a power of two, so t * (beta * slopes) is beta * t * slopes bit
     # for bit unless a product is subnormal.
-    margin = beta * (np.asarray(grads, dtype=float) @ g_s)
+    margin = beta * np.asarray(grads, dtype=float).dot(g_s)
     fx = problem.evaluate(x)
     point = x - g_s
     if not np.isfinite(point).all():

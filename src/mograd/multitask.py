@@ -297,11 +297,14 @@ def as_problem(dataset):
     )
 
 
+_CSV_COLUMNS = ("x1", "x2", "label1", "label2", "split")
+
+
 def to_csv(dataset, path):
     """Write points, labels, and split membership for inspection."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "label1", "label2", "split"])
+        writer.writerow(_CSV_COLUMNS)
         membership = np.full(len(dataset.points), "test", dtype=object)
         membership[dataset.train_idx] = "train"
         for (x1, x2), l1, l2, s in zip(
@@ -310,11 +313,21 @@ def to_csv(dataset, path):
             writer.writerow([repr(float(x1)), repr(float(x2)), l1, l2, s])
 
 
+def _csv_field(row, column, parse, where):
+    """``parse(row[column])``, or :class:`InputError` naming ``where``."""
+    try:
+        return parse(row[column])
+    except (TypeError, ValueError):
+        kind = "an integer" if parse is int else "a number"
+        raise InputError(f"{where}: {column} {row[column]!r} is not {kind}") from None
+
+
 def from_csv(path, kind, seed=0):
     """Rebuild a dataset from :func:`to_csv` output; features are recomputed.
 
-    Raises :class:`InputError` naming the line of a row whose split is not
-    ``train`` or ``test`` or whose label is outside its task's classes.
+    Raises :class:`InputError` naming a missing column, or the line of a
+    row whose split is not ``train`` or ``test``, whose label is not an
+    integer in its task's classes, or whose coordinate is not a number.
     """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -322,16 +335,23 @@ def from_csv(path, kind, seed=0):
     points, labels1, labels2 = [], [], []
     splits = {"train": [], "test": []}
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
+        reader = csv.DictReader(fh)
+        for column in _CSV_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise InputError(f"{path}: no {column!r} column")
+        for i, row in enumerate(reader):
             where = f"{path} line {i + 2}"
             if row["split"] not in splits:
                 raise InputError(f"{where}: unknown split {row['split']!r}")
-            label1, label2 = int(row["label1"]), int(row["label2"])
+            label1 = _csv_field(row, "label1", int, where)
+            label2 = _csv_field(row, "label2", int, where)
             if label1 not in classes1:
                 raise InputError(f"{where}: label1 {label1} outside {kind} classes")
             if label2 not in range(2):
                 raise InputError(f"{where}: label2 {label2} is not 0 or 1")
-            points.append((float(row["x1"]), float(row["x2"])))
+            x1 = _csv_field(row, "x1", float, where)
+            x2 = _csv_field(row, "x2", float, where)
+            points.append((x1, x2))
             labels1.append(label1)
             labels2.append(label2)
             splits[row["split"]].append(i)

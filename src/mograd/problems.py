@@ -7,6 +7,7 @@ solvers can be compared on evaluation budgets rather than wall time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,17 @@ class ConvergenceError(RuntimeError):
 
 class LineSearchError(RuntimeError):
     """Backtracking reached the minimum step size without acceptance."""
+
+
+def _finite(a):
+    """True if every entry of the array ``a`` is finite.
+
+    The self dot product is finite exactly when every entry is, unless it
+    overflows; only then are the entries tested one by one.  The overflow
+    warns, so call this under ``np.errstate``.
+    """
+    flat = a.ravel()
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
 def _overflow(name, values, x):
@@ -123,12 +135,15 @@ class MultiObjectiveProblem:
         """
         if self._in_run:
             y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
+            self.counters.objective_evals += 1
+            finite = _finite(y)
         else:
             x = self._check_x(x)
             with np.errstate(all="ignore"):
                 y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
-        self.counters.objective_evals += 1
-        if not np.isfinite(y).all():
+                self.counters.objective_evals += 1
+                finite = _finite(y)
+        if not finite:
             raise _overflow(self.name, y, x)
         return y
 
@@ -139,12 +154,15 @@ class MultiObjectiveProblem:
         """
         if self._in_run:
             G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
+            self.counters.gradient_evals += 1
+            finite = _finite(G)
         else:
             x = self._check_x(x)
             with np.errstate(all="ignore"):
                 G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
-        self.counters.gradient_evals += 1
-        if not np.isfinite(G).all():
+                self.counters.gradient_evals += 1
+                finite = _finite(G)
+        if not finite:
             raise _overflow(self.name, G, x)
         return G
 
@@ -191,6 +209,11 @@ class NoisyProblem:
         self.noise_rho = spec.rho
         self.counters = base.counters
 
+    @property
+    def _in_run(self):
+        # Set on the innermost base by the run; see MultiObjectiveProblem.
+        return self._base._in_run
+
     def evaluate(self, x):
         y = self._base.evaluate(x)
         if self.spec.rho == 0.0:
@@ -208,12 +231,18 @@ class NoisyProblem:
 
         One draw per entry, row-major, in call order, so the stream layout is
         reproducible.  A finite value can still overflow here; that is an
-        :class:`EvaluationOverflowError`, as in the base oracle.
+        :class:`EvaluationOverflowError`, as in the base oracle.  Inside a
+        run the run's ``np.errstate`` covers the overflow.
         """
         xi = self._rng.standard_normal(values.shape)
-        with np.errstate(over="ignore"):
+        if self._in_run:
             noisy = values * (1.0 + self.spec.rho * xi)
-        if not np.isfinite(noisy).all():
+            finite = _finite(noisy)
+        else:
+            with np.errstate(over="ignore"):
+                noisy = values * (1.0 + self.spec.rho * xi)
+                finite = _finite(noisy)
+        if not finite:
             raise _overflow(self.name, noisy, np.asarray(x, dtype=float))
         return noisy
 

@@ -92,9 +92,8 @@ def _finish(G, lam, iterations):
     """Clamp stray negatives, renormalize, and package a solution."""
     lam = np.maximum(lam, 0.0)
     lam = lam / lam.sum()
-    g = G.T @ lam
-    omega = float(g @ g)
-    return SubproblemSolution(lam, g, omega, iterations, G)
+    g = G.T.dot(lam)
+    return SubproblemSolution(lam, g, float(g.dot(g)), iterations, G)
 
 
 def kkt_residual(G, weights):
@@ -138,12 +137,16 @@ def _min_norm_rows(G):
     """The closed form of :func:`min_norm_two` on a checked (2, n) matrix."""
     g1, g2 = G
     diff = g1 - g2
-    denom = float(diff @ diff)
+    denom = float(diff.dot(diff))
     if denom == 0.0:
         lam1 = 1.0
     else:
-        lam1 = min(1.0, max(0.0, float(g2 @ (g2 - g1)) / denom))
-    return _finish(G, np.array([lam1, 1.0 - lam1]), 0)
+        lam1 = min(1.0, max(0.0, float(g2.dot(g2 - g1)) / denom))
+    # No _finish: lam1 is in [0, 1] and lam1 + (1 - lam1) rounds to exactly
+    # 1, so its clamp and renormalization would leave lam as it is.
+    lam = np.array([lam1, 1.0 - lam1])
+    g = G.T.dot(lam)
+    return SubproblemSolution(lam, g, float(g.dot(g)), 0, G)
 
 
 def _affine_minimizer(M):

@@ -123,14 +123,14 @@ def _diagonal(n):
 def _vardim(x):
     n = x.size
     # A numpy scalar (as prod in BROWNAL): its powers overflow to inf, not raise.
-    lin = _index(n) @ x - n * (n + 1) / 2.0
+    lin = _index(n).dot(x) - n * (n + 1) / 2.0
     return float(((x - 1.0) ** 2).sum()) + lin**2 + lin**4
 
 
 def _vardim_grad(x):
     n = x.size
     idx = _index(n)
-    lin = idx @ x - n * (n + 1) / 2.0
+    lin = idx.dot(x) - n * (n + 1) / 2.0
     return 2.0 * (x - 1.0) + (2.0 * lin + 4.0 * lin**3) * idx
 
 
@@ -189,7 +189,7 @@ def make_regularized(p):
     """Bi-objective instance f_1 = p, f_2 = ||x||^2, started at p's start."""
 
     def objectives(x):
-        return np.array([p.value(x), float(x @ x)])
+        return np.array([p.value(x), float(x.dot(x))])
 
     def jac(x):
         return np.array([p.gradient(x), 2.0 * x])
@@ -246,7 +246,7 @@ def quadratic_pair(a=(1.0, 0.0), b=(-1.0, 0.0)):
 
 def _gauss_bump(x, c):
     d = x - c
-    return np.exp(-float(d @ d))
+    return np.exp(-float(d.dot(d)))
 
 
 # Benchmark formulations (all n=2, m=2, minimization form).  Lovison 3 and
@@ -302,7 +302,7 @@ def _lovison4():
 def _mop1():
     def objectives(x):
         return 0.5 * np.array(
-            [x @ x, (x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2]
+            [x.dot(x), (x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2]
         )
 
     def jac(x):
@@ -314,7 +314,7 @@ def _mop1():
 def _t1():
     def objectives(x):
         return np.array(
-            [(x[0] - 2.0) ** 4 + (x[0] - 2.0 * x[1]) ** 2, 0.5 * float(x @ x)]
+            [(x[0] - 2.0) ** 4 + (x[0] - 2.0 * x[1]) ** 2, 0.5 * float(x.dot(x))]
         )
 
     def jac(x):

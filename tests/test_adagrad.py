@@ -60,6 +60,41 @@ class TestStep:
         with pytest.raises(InputError):
             adagrad_step(state, np.array([np.inf]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_entry_rejected_at_any_scale(self, bad):
+        state = initial_state(np.zeros(2), varsigma=0.01)
+        with pytest.raises(InputError):
+            adagrad_step(state, np.array([bad, 1.0]))
+        # The square of the finite entry overflows first, and warns.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InputError):
+                adagrad_step(state, np.array([1e200, bad]))
+
+    def test_matches_the_first_formula(self, rng):
+        # As first written: an entrywise finite test, then `g_s @ g_s`.
+        def reference(state, g_s):
+            w = math.sqrt(state.w * state.w + float(g_s @ g_s))
+            return state.x - g_s / w, w
+
+        for _ in range(4000):
+            n = rng.choice([2, 10])
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+            state = initial_state(x, varsigma=rng.uniform(1e-4, 0.99))
+            state.w *= 10.0 ** rng.uniform(0, 5)
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150)
+            nxt = adagrad_step(state, g)
+            x_ref, w_ref = reference(state, g)
+            assert nxt.x.tobytes() == x_ref.tobytes()
+            assert np.float64(nxt.w).tobytes() == np.float64(w_ref).tobytes()
+
+    def test_overflowing_square_warns_and_steps_nowhere(self):
+        # A finite g_s whose square overflows: w is inf, as through `@`.
+        state = initial_state(np.ones(2), varsigma=0.01)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            nxt = adagrad_step(state, np.array([1e200, 1.0]))
+        assert nxt.w == math.inf
+        assert nxt.x.tolist() == [1.0, 1.0]
+
 
 class TestConfig(ConfigContract):
     config = AdagradConfig

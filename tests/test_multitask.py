@@ -350,6 +350,39 @@ class TestCsv:
         with pytest.raises(InputError, match=f"line 6: {message}"):
             from_csv(path, kind)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("label1", "1.5", "label1 '1.5' is not an integer"),
+            ("label2", "", "label2 '' is not an integer"),
+            ("x2", "north", "x2 'north' is not a number"),
+        ],
+    )
+    def test_unparsable_field_rejected(self, tmp_path, column, value, message):
+        path = tmp_path / "points.csv"
+        to_csv(generate_dataset("quadrants", N=20, seed=0), path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"points.csv line 4: {message}"):
+            from_csv(path, "quadrants")
+
+    @pytest.mark.parametrize("column", ["x1", "x2", "label1", "label2", "split"])
+    def test_missing_column_rejected(self, tmp_path, column):
+        path = tmp_path / "points.csv"
+        to_csv(generate_dataset("diagonals", N=20, seed=0), path)
+        header, *rows = path.read_text().splitlines()
+        drop = header.split(",").index(column)
+        lines = [
+            ",".join(v for j, v in enumerate(line.split(",")) if j != drop)
+            for line in [header, *rows]
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"points.csv: no '{column}' column"):
+            from_csv(path, "diagonals")
+
     def test_header(self, tmp_path):
         ds = generate_dataset("quadrants", N=20, seed=0)
         path = tmp_path / "points.csv"

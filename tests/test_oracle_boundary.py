@@ -142,25 +142,26 @@ def _linear(G):
     )
 
 
+def _scaled(st, top):
+    # Sign, mantissa and decimal exponent drawn apart, so that every
+    # magnitude from 1e-300 up to about 1.7 * 10**top turns up.
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 1.7),
+        st.integers(-300, top),
+    )
+
+
 def test_extreme_scales_end_in_a_typed_state():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     hnp = pytest.importorskip("hypothesis.extra.numpy")
 
-    def scaled(top):
-        # Sign, mantissa and decimal exponent drawn apart, so that every
-        # magnitude from 1e-300 up to about 1.7 * 10**top turns up.
-        return st.builds(
-            lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-            st.sampled_from([-1.0, 1.0]),
-            st.floats(1.0, 1.7),
-            st.integers(-300, top),
-        )
-
     cases = st.tuples(st.integers(2, 3), st.integers(1, 4)).flatmap(
         lambda shape: st.tuples(
-            hnp.arrays(float, shape, elements=scaled(149)),
-            hnp.arrays(float, shape[1], elements=scaled(307)),
+            hnp.arrays(float, shape, elements=_scaled(st, 149)),
+            hnp.arrays(float, shape[1], elements=_scaled(st, 307)),
         )
     )
     drivers = [(run_adagrad, AdagradConfig), (run_descent, DescentConfig)]
@@ -178,6 +179,59 @@ def test_extreme_scales_end_in_a_typed_state():
             warnings.simplefilter("error", RuntimeWarning)
             rec = run(_linear(G), x0=x0, config=config(gradient_budget=20))
         assert np.isfinite(rec.final_x).all()
+        if rec.status == RunStatus.FAILED:
+            assert rec.failure_reason
+
+    check()
+
+
+def _quadratic(A, C):
+    # f_j = 0.5 * sum_i A_ji (x_i - C_ji)^2, gradient rows A_j * (x - C_j).
+    # Elementwise products, so that an overflow sets the flags numpy turns
+    # into warnings.
+    m, n = A.shape
+    return MultiObjectiveProblem(
+        "QUADRATIC",
+        n,
+        m,
+        np.zeros(n),
+        lambda x: 0.5 * (A * (x - C) ** 2).sum(axis=1),
+        lambda x: A * (x - C),
+    )
+
+
+def test_quadratic_oracles_at_extreme_scales_end_in_a_typed_state():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    # Curvatures up to 1.7e200, centres and starts up to 1.7e150: gradient
+    # entries reach past 1e308, and an entry past about 1.3e154 is finite
+    # but overflows omega.
+    cases = st.tuples(st.integers(2, 3), st.integers(1, 4)).flatmap(
+        lambda shape: st.tuples(
+            hnp.arrays(float, shape, elements=_scaled(st, 200)),
+            hnp.arrays(float, shape, elements=_scaled(st, 150)),
+            hnp.arrays(float, shape[1], elements=_scaled(st, 150)),
+        )
+    )
+    drivers = [(run_adagrad, AdagradConfig), (run_descent, DescentConfig)]
+    # Gradients of 1e200 at x0: finite, but omega is not.
+    big = (np.full((2, 2), 1e200), np.zeros((2, 2)), np.ones(2))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(case=cases, driver=st.sampled_from(drivers))
+    @hypothesis.example(case=big, driver=drivers[0])
+    @hypothesis.example(case=big, driver=drivers[1])
+    def check(case, driver):
+        A, C, x0 = case
+        run, config = driver
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = run(_quadratic(A, C), x0=x0, config=config(gradient_budget=20))
+        assert np.isfinite(rec.final_x).all()
+        # Every recorded iteration was paid for at a finite omega.
+        assert np.isfinite(rec.trajectory.omega).all()
         if rec.status == RunStatus.FAILED:
             assert rec.failure_reason
 

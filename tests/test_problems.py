@@ -18,6 +18,7 @@ from mograd import (
     run_descent,
     wrap_noisy,
 )
+from mograd.problems import _finite
 from mograd.suite import SCALAR_PROBLEMS
 
 
@@ -135,6 +136,46 @@ class TestOverflowIndex:
         assert np.array_equal(err.value.x, np.ones(3))
 
 
+class TestFinite:
+    # [1e200, 1.0] squares past the float range, so its dot product is inf
+    # and the entrywise fallback decides.
+    @pytest.mark.parametrize("base", [[1.0, 2.0], [1e200, 1.0]])
+    def test_finite_entries(self, base):
+        a = np.array(base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                assert _finite(a)
+                assert _finite(np.array([a, -a]))
+
+    @pytest.mark.parametrize("base", [[1.0, 2.0], [1e200, 1.0]])
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_any_nonfinite_entry(self, base, position, bad):
+        a = np.array(base)
+        a[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                assert not _finite(a)
+                assert not _finite(np.array([np.ones(2), a]))
+
+    def test_public_oracles_accept_an_overflowing_square(self):
+        # The output test of a public call runs inside the call's errstate.
+        p = MultiObjectiveProblem(
+            "BIG",
+            2,
+            2,
+            (0.0, 0.0),
+            lambda x: np.array([1e200, 1.0]),
+            lambda x: np.array([[1e200, 1.0], [0.0, -1e200]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.evaluate([0.0, 0.0]).tolist() == [1e200, 1.0]
+            assert p.jacobian([0.0, 0.0]).tolist() == [[1e200, 1.0], [0.0, -1e200]]
+
+
 class TestPhi:
     def test_max_of_values(self, reg_rosenbrock):
         assert reg_rosenbrock.phi([1.0, 1.0]) == pytest.approx(2.0)
@@ -244,3 +285,24 @@ class TestNoiseWrapper:
             rec = run(noisy)
         assert rec.status == RunStatus.FAILED
         assert "gradient entry (0, 0) is non-finite" in rec.failure_reason
+
+    @pytest.mark.parametrize("run", [run_adagrad, run_descent])
+    def test_noise_overflow_mid_run_fails_the_run(self, run):
+        # Gradients of 1 for three Jacobian calls, then of 1.7e308, which
+        # the fourth call's draws under NoiseSpec(0.5, 4) take past the
+        # largest double in the second row, with either driver.
+        calls = []
+
+        def jacobian(x):
+            calls.append(x)
+            return np.full((2, 1), 1.7e308 if len(calls) > 3 else 1.0)
+
+        grows = MultiObjectiveProblem(
+            "GROWS", 1, 2, (0.0,), lambda x: np.array([x[0], x[0]]), jacobian
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run(wrap_noisy(grows, NoiseSpec(0.5, 4)))
+        assert rec.status == RunStatus.FAILED
+        assert rec.gradient_evals == 4
+        assert "gradient entry (1, 0) is non-finite" in rec.failure_reason

@@ -456,3 +456,59 @@ class TestSolveDirection:
         assert sol.jacobian is G
         with pytest.raises(InputError):
             solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
+
+
+def _closed_form_reference(G):
+    # The m = 2 route as first written: `@` products, then _finish's clamp
+    # and renormalization.
+    g1, g2 = G
+    diff = g1 - g2
+    denom = float(diff @ diff)
+    if denom == 0.0:
+        lam1 = 1.0
+    else:
+        lam1 = min(1.0, max(0.0, float(g2 @ (g2 - g1)) / denom))
+    lam = np.maximum(np.array([lam1, 1.0 - lam1]), 0.0)
+    lam = lam / lam.sum()
+    g = G.T @ lam
+    return lam, g, float(g @ g)
+
+
+class TestClosedFormBits:
+    """The m = 2 closed form skips _finish; its records must not move."""
+
+    def test_matches_the_finish_formula(self, rng):
+        cases = []
+        for n in (2, 10):
+            for _ in range(1000):
+                # Row scales drawn apart, 1e-150 .. 1e150, so that one row
+                # can dwarf the other and lam1 reaches both ends.
+                scales = 10.0 ** rng.uniform(-150, 150, size=(2, 1))
+                cases.append(rng.normal(size=(2, n)) * scales)
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150)
+            cases += [np.array([g, g]), np.array([g, -g]), np.array([g, 3.0 * g])]
+            cases += [np.array([g, np.zeros(n)]), np.zeros((2, n))]
+        for G in cases:
+            sol = solve_direction(G)
+            lam, g, omega = _closed_form_reference(G)
+            assert sol.weights.tobytes() == lam.tobytes()
+            assert sol.gradient.tobytes() == g.tobytes()
+            assert np.float64(sol.omega).tobytes() == np.float64(omega).tobytes()
+
+    @pytest.mark.parametrize(
+        "lam1",
+        [0.0, 5e-324, 1e-300, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0), 1.0],
+    )
+    def test_weights_already_on_the_simplex(self, lam1):
+        lam = np.array([lam1, 1.0 - lam1])
+        assert lam.sum() == 1.0
+        assert (lam / lam.sum()).tobytes() == lam.tobytes()
+        assert np.maximum(lam, 0.0).tobytes() == lam.tobytes()
+
+    def test_weights_already_on_the_simplex_drawn(self, rng):
+        draws = np.concatenate(
+            [rng.random(100_000), 10.0 ** rng.uniform(-320, 0, size=100_000)]
+        )
+        lam = np.stack([draws, 1.0 - draws], axis=1)
+        assert (lam.sum(axis=1) == 1.0).all()
+        assert (draws + (1.0 - draws) == 1.0).all()

@@ -141,6 +141,43 @@ def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
+# The oracles that took `@` on their point, as first written; `dot` must
+# give the same bits.
+
+
+def _l2_reference(p, x):
+    return np.array([p.value(x), float(x @ x)])
+
+
+def _mop1_reference(x):
+    return 0.5 * np.array([x @ x, (x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2])
+
+
+def _t1_reference(x):
+    return np.array([(x[0] - 2.0) ** 4 + (x[0] - 2.0 * x[1]) ** 2, 0.5 * float(x @ x)])
+
+
+def _bump_reference(x, c):
+    d = x - c
+    return np.exp(-float(d @ d))
+
+
+def _lovison4_reference(x):
+    c1, c2 = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
+    bumps = 4.0 * (_bump_reference(x, c1) + _bump_reference(x, c2))
+    db = -8.0 * (_bump_reference(x, c1) * (x - c1) + _bump_reference(x, c2) * (x - c2))
+    values = np.array(
+        [x[0] ** 2 + x[1] ** 2 + bumps, (x[0] - 6.0) ** 2 + (x[1] + 0.5) ** 2]
+    )
+    jac = np.array(
+        [
+            [2.0 * x[0] + db[0], 2.0 * x[1] + db[1]],
+            [2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.5)],
+        ]
+    )
+    return values, jac
+
+
 class TestBitExactFormulas:
     @pytest.mark.parametrize(
         "name, value, gradient",
@@ -165,6 +202,25 @@ class TestBitExactFormulas:
         p = SCALAR_PROBLEMS["BROWNAL"]
         for x in _hard_points(rng, 5000, 20.0):
             assert _bits(p.gradient(x)) == _bits(_brownal_grad_reference(x))
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_PROBLEMS))
+    def test_regularized_values_match_matmul(self, name, rng):
+        p = SCALAR_PROBLEMS[name]
+        reg = make_regularized(p)
+        for x in _hard_points(rng, 500, 3.0):
+            x = x[: p.n]
+            assert _bits(reg.evaluate(x)) == _bits(_l2_reference(p, x))
+
+    def test_benchmarks_match_matmul(self, rng):
+        mop1, t1, lovison4 = (get_benchmark(n) for n in ("MOP1", "T1", "Lovison4"))
+        for _ in range(3000):
+            # Magnitudes e^-6 .. e^6: the bumps range from 1 down to 0.
+            x = rng.normal(size=2) * np.exp(rng.uniform(-6.0, 6.0, size=2))
+            assert _bits(mop1.evaluate(x)) == _bits(_mop1_reference(x))
+            assert _bits(t1.evaluate(x)) == _bits(_t1_reference(x))
+            values, jac = _lovison4_reference(x)
+            assert _bits(lovison4.evaluate(x)) == _bits(values)
+            assert _bits(lovison4.jacobian(x)) == _bits(jac)
 
     def test_stacked_jacobians_match_vstack(self, rng):
         brownal, vardim = SCALAR_PROBLEMS["BROWNAL"], SCALAR_PROBLEMS["VARDIM"]
