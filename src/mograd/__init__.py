@@ -10,7 +10,7 @@ classification instances, and an experiment harness with a CLI round out
 the toolkit.
 """
 
-from .adagrad import AdagradConfig, adagrad_step, initial_state, run_adagrad
+from .adagrad import AdagradConfig, adagrad_step, run_adagrad
 from .descent import DescentConfig, armijo_backtrack, run_descent
 from .harness import (
     ConfigError,
@@ -98,7 +98,6 @@ __all__ = [
     "generate_dataset",
     "get_benchmark",
     "get_problem",
-    "initial_state",
     "kkt_residual",
     "list_problems",
     "loss_gradients",

@@ -74,34 +74,22 @@ class AdagradConfig(SolverConfig):
         super().__post_init__()
 
 
-@dataclass
-class IterateState:
-    """One point of the Adagrad recursion: w_k^2 = varsigma + sum of ||g||^2."""
-
-    k: int
-    x: np.ndarray
-    w: float
-
-
-def initial_state(x0, varsigma):
-    return IterateState(k=0, x=np.asarray(x0, dtype=float), w=math.sqrt(varsigma))
-
-
-def adagrad_step(state, g_s):
+def adagrad_step(x, w, g_s):
     """Advance the recursion by one step; pure, no oracle calls.
 
-    The weight is updated before the move, so the step taken at iteration
-    k is -g_s / w_k with w_k already including ||g_s||^2.  A non-finite
-    entry raises :class:`InputError`; a square that overflows warns, as any
-    numpy overflow does outside ``np.errstate``, and is then taken as inf.
+    Returns ``(x - g_s / w_next, w_next)`` with
+    ``w_next = sqrt(w^2 + ||g_s||^2)``: the weight is updated before the
+    move.  A non-finite entry raises :class:`InputError`; a square that
+    overflows warns, as any numpy overflow does outside ``np.errstate``,
+    and is then taken as inf.
     """
     g_s = np.asarray(g_s, dtype=float)
     sq = float(g_s.dot(g_s))
     # The square is finite unless an entry is non-finite or it overflows.
     if not math.isfinite(sq) and not np.isfinite(g_s).all():
         raise InputError("g_s contains non-finite entries")
-    w = math.sqrt(state.w * state.w + sq)
-    return IterateState(k=state.k + 1, x=state.x - g_s / w, w=w)
+    w = math.sqrt(w * w + sq)
+    return x - g_s / w, w
 
 
 def _drive(problem, x0, config, seed, solver, step):
@@ -189,13 +177,12 @@ def run_adagrad(problem, x0=None, config=None, *, seed=None):
     counter is untouched by construction.
     """
     config = config or AdagradConfig()
-    state = None
+    w = math.sqrt(config.varsigma)
 
     def step(x, G, sol, critical):
-        # The loop only ever moves to the point returned here, so after
-        # the first call state.x is x.
-        nonlocal state
-        state = adagrad_step(state or initial_state(x, config.varsigma), sol.gradient)
-        return state.w, state.x
+        # The module name, looked up per call: perfbench/spans.py patches it.
+        nonlocal w
+        x, w = adagrad_step(x, w, sol.gradient)
+        return w, x
 
     return _drive(problem, x0, config, seed, "adagrad", step)

@@ -16,20 +16,21 @@ gradients.  Parameters flatten as the Task 1 block (row-major) followed
 by the Task 2 weight vector; the all-zero vector is the standard start.
 
 The oracles (:func:`losses`, :func:`loss_gradients`, :func:`accuracy`)
-work on a per-split block built on first use and cached on the
+work on a per-split block built on first use and kept on the frozen
 :class:`Dataset`: the split's features stored class-major as a contiguous
 d x N array, with float targets (a 4 x N one-hot for the quadrant classes,
 0/1 vectors for binary tasks).  Logits are then class-major too, so every
 reduction (softmax max and sum, picking the labelled class) runs along
 the long sample axis, and no call copies the split out of the features.
-A cached block is checked by identity against the split's index array,
-the features and the labels, so rebinding any of them rebuilds it.
+A changed dataset is a new one (``dataclasses.replace``), with no blocks;
+writing into its arrays in place is not detected.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,7 @@ KINDS = ("quadrants", "diagonals")
 _CLIP = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     kind: str
     seed: int
@@ -51,10 +52,6 @@ class Dataset:
     labels_task2: np.ndarray  # binary 0/1
     train_idx: np.ndarray
     test_idx: np.ndarray
-    # split -> cached _Block; see _split_block.
-    _blocks: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def n_features(self):
@@ -68,6 +65,16 @@ class Dataset:
     def n_params(self):
         d = self.n_features
         return d * 4 + d if self.kind == "quadrants" else 2 * d
+
+    # Each split's block is built on first use; cached_property writes to
+    # the instance __dict__, which a frozen dataclass leaves open.
+    @functools.cached_property
+    def _train_block(self):
+        return _Block.of(self, self.train_idx)
+
+    @functools.cached_property
+    def _test_block(self):
+        return _Block.of(self, self.test_idx)
 
 
 def quadrant_label(points):
@@ -138,54 +145,40 @@ def split_params(dataset, params):
     return params[:d], params[d:]
 
 
-def _split_indices(dataset, split):
-    if split == "train":
-        return dataset.train_idx
-    if split == "test":
-        return dataset.test_idx
-    raise InputError(f"split must be 'train' or 'test', got {split!r}")
-
-
 @dataclass
 class _Block:
     """One split, class-major, with the targets of both tasks."""
 
-    source: tuple          # (idx, features, labels_task1, labels_task2)
     XT: np.ndarray         # d x N features, contiguous
     labels1: np.ndarray    # N task-1 labels, as in the dataset
     target1: np.ndarray    # 4 x N one-hot (quadrants) or N floats 0/1
     target2: np.ndarray    # N floats 0/1
 
+    @classmethod
+    def of(cls, dataset, idx):
+        """The block of the dataset's rows ``idx``; an empty split is an error."""
+        if idx.size == 0:
+            raise InputError("empty split")
+        labels1 = dataset.labels_task1[idx]
+        if dataset.kind == "quadrants":
+            target1 = (np.arange(1, 5)[:, None] == labels1).astype(float)
+        else:
+            target1 = labels1.astype(float)
+        return cls(
+            np.ascontiguousarray(dataset.features[idx].T),
+            labels1,
+            target1,
+            dataset.labels_task2[idx].astype(float),
+        )
+
 
 def _split_block(dataset, split):
-    """The split's :class:`_Block`, built on first use and cached on ``dataset``.
-
-    The cached block is reused only while the split's index array, the
-    features and both label arrays are the very objects it was built from,
-    so rebinding any of them (``dataset.test_idx = ...``) rebuilds it.
-    Writing into those arrays in place is not detected.
-    """
-    idx = _split_indices(dataset, split)
-    source = (idx, dataset.features, dataset.labels_task1, dataset.labels_task2)
-    block = dataset._blocks.get(split)
-    if block is not None and all(a is b for a, b in zip(block.source, source)):
-        return block
-    if idx.size == 0:
-        raise InputError("empty split")
-    labels1 = dataset.labels_task1[idx]
-    if dataset.kind == "quadrants":
-        target1 = (np.arange(1, 5)[:, None] == labels1).astype(float)
-    else:
-        target1 = labels1.astype(float)
-    block = _Block(
-        source,
-        np.ascontiguousarray(dataset.features[idx].T),
-        labels1,
-        target1,
-        dataset.labels_task2[idx].astype(float),
-    )
-    dataset._blocks[split] = block
-    return block
+    """The split's :class:`_Block`, built on its first use by ``dataset``."""
+    if split == "train":
+        return dataset._train_block
+    if split == "test":
+        return dataset._test_block
+    raise InputError(f"split must be 'train' or 'test', got {split!r}")
 
 
 def _softmax(L):

@@ -19,7 +19,7 @@ README, since several variants circulate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -258,92 +258,75 @@ def _gauss_bump(x, c):
 # two shifted quadratic bowls.
 
 
-def _lovison3():
-    def objectives(x):
-        return np.array(
-            [x[0] ** 2 + x[1] ** 2, (x[0] - 6.0) ** 2 + (x[1] + 0.3) ** 2]
-        )
-
-    def jac(x):
-        return np.array(
-            [[2.0 * x[0], 2.0 * x[1]], [2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.3)]]
-        )
-
-    return objectives, jac
+def _lovison3(x):
+    return np.array([x[0] ** 2 + x[1] ** 2, (x[0] - 6.0) ** 2 + (x[1] + 0.3) ** 2])
 
 
-def _lovison4():
-    def objectives(x):
-        bumps = 4.0 * (
-            _gauss_bump(x, np.array([-2.0, 0.0])) + _gauss_bump(x, np.array([2.0, 0.0]))
-        )
-        return np.array(
-            [
-                x[0] ** 2 + x[1] ** 2 + bumps,
-                (x[0] - 6.0) ** 2 + (x[1] + 0.5) ** 2,
-            ]
-        )
-
-    def jac(x):
-        c1, c2 = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
-        db = -8.0 * (
-            _gauss_bump(x, c1) * (x - c1) + _gauss_bump(x, c2) * (x - c2)
-        )
-        return np.array(
-            [
-                [2.0 * x[0] + db[0], 2.0 * x[1] + db[1]],
-                [2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.5)],
-            ]
-        )
-
-    return objectives, jac
+def _lovison3_jac(x):
+    return np.array(
+        [[2.0 * x[0], 2.0 * x[1]], [2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.3)]]
+    )
 
 
-def _mop1():
-    def objectives(x):
-        return 0.5 * np.array(
-            [x.dot(x), (x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2]
-        )
-
-    def jac(x):
-        return np.array([x, x - np.array([2.0, 2.0])])
-
-    return objectives, jac
-
-
-def _t1():
-    def objectives(x):
-        return np.array(
-            [(x[0] - 2.0) ** 4 + (x[0] - 2.0 * x[1]) ** 2, 0.5 * float(x.dot(x))]
-        )
-
-    def jac(x):
-        r = x[0] - 2.0 * x[1]
-        return np.array(
-            [[4.0 * (x[0] - 2.0) ** 3 + 2.0 * r, -4.0 * r], x]
-        )
-
-    return objectives, jac
+def _lovison4(x):
+    bumps = 4.0 * (
+        _gauss_bump(x, np.array([-2.0, 0.0])) + _gauss_bump(x, np.array([2.0, 0.0]))
+    )
+    return np.array(
+        [
+            x[0] ** 2 + x[1] ** 2 + bumps,
+            (x[0] - 6.0) ** 2 + (x[1] + 0.5) ** 2,
+        ]
+    )
 
 
-def _t2():
-    def objectives(x):
-        return 0.5 * np.array(
-            [(x[0] - 1.0) ** 2 + x[1] ** 2, (x[0] + 1.0) ** 2 + x[1] ** 2]
-        )
+def _lovison4_jac(x):
+    c1, c2 = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
+    db = -8.0 * (_gauss_bump(x, c1) * (x - c1) + _gauss_bump(x, c2) * (x - c2))
+    return np.array(
+        [
+            [2.0 * x[0] + db[0], 2.0 * x[1] + db[1]],
+            [2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.5)],
+        ]
+    )
 
-    def jac(x):
-        return np.array([[x[0] - 1.0, x[1]], [x[0] + 1.0, x[1]]])
 
-    return objectives, jac
+def _mop1(x):
+    return 0.5 * np.array([x.dot(x), (x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2])
 
 
+def _mop1_jac(x):
+    return np.array([x, x - np.array([2.0, 2.0])])
+
+
+def _t1(x):
+    return np.array(
+        [(x[0] - 2.0) ** 4 + (x[0] - 2.0 * x[1]) ** 2, 0.5 * float(x.dot(x))]
+    )
+
+
+def _t1_jac(x):
+    r = x[0] - 2.0 * x[1]
+    return np.array([[4.0 * (x[0] - 2.0) ** 3 + 2.0 * r, -4.0 * r], x])
+
+
+def _t2(x):
+    return 0.5 * np.array(
+        [(x[0] - 1.0) ** 2 + x[1] ** 2, (x[0] + 1.0) ** 2 + x[1] ** 2]
+    )
+
+
+def _t2_jac(x):
+    return np.array([[x[0] - 1.0, x[1]], [x[0] + 1.0, x[1]]])
+
+
+# name -> (objectives, jacobian)
 _BENCHMARKS = {
-    "Lovison3": _lovison3,
-    "Lovison4": _lovison4,
-    "MOP1": _mop1,
-    "T1": _t1,
-    "T2": _t2,
+    "Lovison3": (_lovison3, _lovison3_jac),
+    "Lovison4": (_lovison4, _lovison4_jac),
+    "MOP1": (_mop1, _mop1_jac),
+    "T1": (_t1, _t1_jac),
+    "T2": (_t2, _t2_jac),
 }
 
 # Box for uniform random starts; the sources give no canonical boxes, so
@@ -357,8 +340,7 @@ def get_benchmark(name):
         raise KeyError(
             f"unknown benchmark {name!r}; valid names: {sorted(_BENCHMARKS)}"
         )
-    objectives, jac = _BENCHMARKS[name]()
-    return MultiObjectiveProblem(name, 2, 2, (0.0, 0.0), objectives, jac)
+    return MultiObjectiveProblem(name, 2, 2, (0.0, 0.0), *_BENCHMARKS[name])
 
 
 def random_start(problem, seed):
@@ -374,17 +356,31 @@ class CatalogEntry:
     n: int
     m: int
     origin: str  # benchmark | regularized | paired
+    build: callable = field(repr=False, compare=False)  # () -> a fresh problem
 
 
 def _catalog():
-    entries = {}
-    for name in _BENCHMARKS:
-        entries[name] = CatalogEntry(name, 2, 2, "benchmark")
-    for pname, p in SCALAR_PROBLEMS.items():
-        entries[f"{pname}-L2"] = CatalogEntry(f"{pname}-L2", p.n, 2, "regularized")
-    for a, b in PAIR_NAMES:
-        entries[f"{a}-{b}"] = CatalogEntry(f"{a}-{b}", SCALAR_PROBLEMS[a].n, 2, "paired")
-    return entries
+    entries = [
+        CatalogEntry(name, 2, 2, "benchmark", functools.partial(get_benchmark, name))
+        for name in _BENCHMARKS
+    ]
+    entries += [
+        CatalogEntry(
+            f"{p.name}-L2", p.n, 2, "regularized", functools.partial(make_regularized, p)
+        )
+        for p in SCALAR_PROBLEMS.values()
+    ]
+    entries += [
+        CatalogEntry(
+            f"{a}-{b}",
+            SCALAR_PROBLEMS[a].n,
+            2,
+            "paired",
+            functools.partial(make_pair, SCALAR_PROBLEMS[a], SCALAR_PROBLEMS[b]),
+        )
+        for a, b in PAIR_NAMES
+    ]
+    return {e.name: e for e in entries}
 
 
 CATALOG = _catalog()
@@ -396,13 +392,7 @@ def get_problem(name):
         raise KeyError(
             f"unknown problem {name!r}; see list_problems() for valid names"
         )
-    entry = CATALOG[name]
-    if entry.origin == "benchmark":
-        return get_benchmark(name)
-    if entry.origin == "regularized":
-        return make_regularized(SCALAR_PROBLEMS[name[: -len("-L2")]])
-    a, b = name.split("-")
-    return make_pair(SCALAR_PROBLEMS[a], SCALAR_PROBLEMS[b])
+    return CATALOG[name].build()
 
 
 def list_problems():

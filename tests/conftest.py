@@ -1,7 +1,18 @@
 """Shared numerical oracles for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def src_env():
+    """The environment with ``src`` first on PYTHONPATH, for a child interpreter."""
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 def fd_jacobian(fn, x, h=1e-6):

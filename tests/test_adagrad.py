@@ -14,86 +14,80 @@ from mograd import (
     MultiObjectiveProblem,
     RunStatus,
     adagrad_step,
-    initial_state,
     quadratic_pair,
     run_adagrad,
 )
+from mograd.adagrad import _drive
 
 
 class TestStep:
     def test_unit_weight_example(self):
-        state = initial_state(np.zeros(2), varsigma=0.01)
-        assert state.w == pytest.approx(0.1)
         g = np.array([math.sqrt(0.99), 0.0])
-        nxt = adagrad_step(state, g)
-        assert nxt.w == pytest.approx(1.0)
-        assert_allclose(nxt.x, -g)
-        assert nxt.k == 1
+        x, w = adagrad_step(np.zeros(2), math.sqrt(0.01), g)
+        assert w == pytest.approx(1.0)
+        assert_allclose(x, -g)
 
     def test_zero_direction_keeps_point_and_weight(self):
-        state = initial_state(np.array([2.0, 3.0]), varsigma=0.5)
-        nxt = adagrad_step(state, np.zeros(2))
-        assert nxt.w == state.w
-        assert_allclose(nxt.x, state.x)
+        x0, w0 = np.array([2.0, 3.0]), math.sqrt(0.5)
+        x, w = adagrad_step(x0, w0, np.zeros(2))
+        assert w == w0
+        assert_allclose(x, x0)
 
     def test_constant_field_recurrence(self):
         c = np.array([0.3, -0.4])
         varsigma = 0.01
-        state = initial_state(np.zeros(2), varsigma)
+        x, w = np.zeros(2), math.sqrt(varsigma)
         for k in range(100):
-            state = adagrad_step(state, c)
+            x, w = adagrad_step(x, w, c)
             expected_w = math.sqrt(varsigma + (k + 1) * float(c @ c))
-            assert state.w == pytest.approx(expected_w, rel=1e-12)
+            assert w == pytest.approx(expected_w, rel=1e-12)
 
     def test_weight_invariant(self):
-        state = initial_state(np.zeros(1), varsigma=0.25)
+        x, w = np.zeros(1), math.sqrt(0.25)
         rng = np.random.default_rng(0)
         squares = 0.0
         for _ in range(50):
             g = rng.normal(size=1)
             squares += float(g @ g)
-            state = adagrad_step(state, g)
-            assert state.w == pytest.approx(math.sqrt(0.25 + squares), rel=1e-12)
+            x, w = adagrad_step(x, w, g)
+            assert w == pytest.approx(math.sqrt(0.25 + squares), rel=1e-12)
 
     def test_nonfinite_direction_rejected(self):
-        state = initial_state(np.zeros(1), varsigma=0.01)
         with pytest.raises(InputError):
-            adagrad_step(state, np.array([np.inf]))
+            adagrad_step(np.zeros(1), 0.1, np.array([np.inf]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_entry_rejected_at_any_scale(self, bad):
-        state = initial_state(np.zeros(2), varsigma=0.01)
+        x, w = np.zeros(2), 0.1
         with pytest.raises(InputError):
-            adagrad_step(state, np.array([bad, 1.0]))
+            adagrad_step(x, w, np.array([bad, 1.0]))
         # The square of the finite entry overflows first, and warns.
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(InputError):
-                adagrad_step(state, np.array([1e200, bad]))
+                adagrad_step(x, w, np.array([1e200, bad]))
 
     def test_matches_the_first_formula(self, rng):
         # As first written: an entrywise finite test, then `g_s @ g_s`.
-        def reference(state, g_s):
-            w = math.sqrt(state.w * state.w + float(g_s @ g_s))
-            return state.x - g_s / w, w
+        def reference(x, w, g_s):
+            w = math.sqrt(w * w + float(g_s @ g_s))
+            return x - g_s / w, w
 
         for _ in range(4000):
             n = rng.choice([2, 10])
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
-            state = initial_state(x, varsigma=rng.uniform(1e-4, 0.99))
-            state.w *= 10.0 ** rng.uniform(0, 5)
+            w = math.sqrt(rng.uniform(1e-4, 0.99)) * 10.0 ** rng.uniform(0, 5)
             g = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150)
-            nxt = adagrad_step(state, g)
-            x_ref, w_ref = reference(state, g)
-            assert nxt.x.tobytes() == x_ref.tobytes()
-            assert np.float64(nxt.w).tobytes() == np.float64(w_ref).tobytes()
+            x_next, w_next = adagrad_step(x, w, g)
+            x_ref, w_ref = reference(x, w, g)
+            assert x_next.tobytes() == x_ref.tobytes()
+            assert np.float64(w_next).tobytes() == np.float64(w_ref).tobytes()
 
     def test_overflowing_square_warns_and_steps_nowhere(self):
         # A finite g_s whose square overflows: w is inf, as through `@`.
-        state = initial_state(np.ones(2), varsigma=0.01)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            nxt = adagrad_step(state, np.array([1e200, 1.0]))
-        assert nxt.w == math.inf
-        assert nxt.x.tolist() == [1.0, 1.0]
+            x, w = adagrad_step(np.ones(2), 0.1, np.array([1e200, 1.0]))
+        assert w == math.inf
+        assert x.tolist() == [1.0, 1.0]
 
 
 class TestConfig(ConfigContract):
@@ -179,6 +173,25 @@ class TestRun(RunContract):
         rec = run_adagrad(p, config=AdagradConfig(gradient_budget=10))
         assert rec.status == RunStatus.FAILED
         assert rec.failure_reason is not None
+
+    def test_nonfinite_step_fails_with_a_nan_row(self):
+        # A step rule that leaves the float range on its third step.
+        def step(x, G, sol, critical):
+            steps.append(x)
+            if len(steps) == 3:
+                return 1.0, np.array([np.inf, 0.0])
+            return 0.5, x - 0.5 * sol.gradient
+
+        steps = []
+        p = quadratic_pair()
+        rec = _drive(p, np.array([0.0, 3.0]), AdagradConfig(), None, "probe", step)
+        assert rec.status == RunStatus.FAILED
+        assert "step from x=" in rec.failure_reason
+        assert rec.failure_reason.endswith("is non-finite")
+        assert rec.trajectory.scale.tolist()[:2] == [0.5, 0.5]
+        assert len(rec.trajectory) == 3 and math.isnan(rec.trajectory.scale[2])
+        assert rec.final_x.tolist() == [0.0, 0.75]
+        assert np.array_equal(rec.final_x, steps[-1])
 
     def test_trajectory_counters_match_iterations(self):
         p = quadratic_pair()

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import src_env
 from mograd import multitask
 from mograd.cli import main
 
@@ -259,6 +260,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "mograd", "list-problems"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert "MOP1" in proc.stdout

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -22,6 +24,6 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 )
 def test_demo_runs(name):
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)], capture_output=True, text=True
+        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, env=src_env()
     )
     assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from contract import ConfigContract, RunContract
 from mograd import (
     CATALOG,
     DescentConfig,
+    EvaluationOverflowError,
     InputError,
     LineSearchError,
     MultiObjectiveProblem,
@@ -96,6 +97,21 @@ class TestArmijo:
         x = np.array([1.0, 0.0])
         with pytest.raises(InputError):
             armijo_backtrack(p, x, np.zeros(2), p.jacobian(x), beta=0.1)
+
+    def test_overflowing_first_candidate_raises_typed(self):
+        # f(x) is finite, but the first candidate x - g_s leaves the range.
+        p = MultiObjectiveProblem(
+            "LIN", 1, 2, [0.0],
+            lambda x: np.array([x[0], -x[0]]),
+            lambda x: np.array([[1.0], [-1.0]]),
+        )
+        x, g_s = np.array([-1e308]), np.array([1e308])
+        with np.errstate(all="ignore"):
+            with pytest.raises(EvaluationOverflowError) as info:
+                armijo_backtrack(p, x, g_s, p.jacobian(x), beta=0.1)
+        assert info.value.index is None
+        assert np.array_equal(info.value.x, x)
+        assert p.counters.objective_evals == 1
 
     def test_hoisted_margin_is_bit_identical(self):
         # armijo_backtrack tests t * (beta * slopes) in place of

@@ -205,8 +205,7 @@ class TestLosses:
             losses(ds, "validation", np.zeros(25))
 
     def test_empty_split_rejected(self):
-        ds = _toy()
-        ds.test_idx = np.array([], dtype=int)
+        ds = dataclasses.replace(_toy(), test_idx=np.array([], dtype=int))
         with pytest.raises(InputError):
             losses(ds, "test", np.zeros(25))
 
@@ -239,20 +238,20 @@ class TestClassMajorOracle:
                        -1e308, np.inf, -np.inf])])
         assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
 
-    def test_rebinding_split_index_rebuilds_cache(self, rng):
+    def test_fields_are_frozen_and_replace_builds_a_fresh_block(self, rng):
         ds = generate_dataset("quadrants", N=500, seed=3)
         theta = rng.normal(size=25)
         before = losses(ds, "train", theta)
-        ds.train_idx = ds.train_idx[::3]
-        after = losses(ds, "train", theta)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.train_idx = ds.train_idx[::3]
+        assert losses(ds, "train", theta) == before
+        # A replaced dataset starts with no blocks: its split, built fresh.
+        thinned = dataclasses.replace(ds, train_idx=ds.train_idx[::3])
+        after = losses(thinned, "train", theta)
         assert after != before
-        # A copy starts with an empty cache: the rebound split, built fresh.
-        assert after == losses(dataclasses.replace(ds), "train", theta)
-        expected = _row_major_oracle(ds, "train", theta)[0]
+        expected = _row_major_oracle(thinned, "train", theta)[0]
         assert after == pytest.approx(expected, rel=1e-12)
-        ds.train_idx = np.array([], dtype=int)
-        with pytest.raises(InputError):
-            losses(ds, "train", theta)
+        assert losses(ds, "train", theta) == before
 
     @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
     def test_calls_leave_cached_block_intact(self, kind, rng):

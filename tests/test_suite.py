@@ -157,6 +157,18 @@ def _t1_reference(x):
     return np.array([(x[0] - 2.0) ** 4 + (x[0] - 2.0 * x[1]) ** 2, 0.5 * float(x @ x)])
 
 
+def _lovison3_reference(x):
+    values = np.array([x[0] ** 2 + x[1] ** 2, (x[0] - 6.0) ** 2 + (x[1] + 0.3) ** 2])
+    jac = np.array([[2.0 * x[0], 2.0 * x[1]], [2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.3)]])
+    return values, jac
+
+
+def _t2_reference(x):
+    values = 0.5 * np.array([(x[0] - 1.0) ** 2 + x[1] ** 2, (x[0] + 1.0) ** 2 + x[1] ** 2])
+    jac = np.array([[x[0] - 1.0, x[1]], [x[0] + 1.0, x[1]]])
+    return values, jac
+
+
 def _bump_reference(x, c):
     d = x - c
     return np.exp(-float(d @ d))
@@ -213,6 +225,10 @@ class TestBitExactFormulas:
 
     def test_benchmarks_match_matmul(self, rng):
         mop1, t1, lovison4 = (get_benchmark(n) for n in ("MOP1", "T1", "Lovison4"))
+        others = [
+            (get_benchmark("Lovison3"), _lovison3_reference),
+            (get_benchmark("T2"), _t2_reference),
+        ]
         for _ in range(3000):
             # Magnitudes e^-6 .. e^6: the bumps range from 1 down to 0.
             x = rng.normal(size=2) * np.exp(rng.uniform(-6.0, 6.0, size=2))
@@ -221,6 +237,10 @@ class TestBitExactFormulas:
             values, jac = _lovison4_reference(x)
             assert _bits(lovison4.evaluate(x)) == _bits(values)
             assert _bits(lovison4.jacobian(x)) == _bits(jac)
+            for p, formulas in others:
+                values, jac = formulas(x)
+                assert _bits(p.evaluate(x)) == _bits(values)
+                assert _bits(p.jacobian(x)) == _bits(jac)
 
     def test_stacked_jacobians_match_vstack(self, rng):
         brownal, vardim = SCALAR_PROBLEMS["BROWNAL"], SCALAR_PROBLEMS["VARDIM"]
@@ -311,7 +331,9 @@ class TestCatalog:
     def test_every_entry_constructs_and_evaluates(self):
         for name, n, m, _ in list_problems():
             p = get_problem(name)
-            assert (p.n, p.m) == (n, m)
+            # Each entry builds a fresh problem named after itself.
+            assert (p.name, p.n, p.m) == (name, n, m)
+            assert get_problem(name) is not p
             f = p.evaluate(np.asarray(p.standard_start, dtype=float))
             assert f.shape == (m,)
             assert np.all(np.isfinite(f))
