@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import harness, multitask
+from .adagrad import AdagradConfig, SolverConfig
 from .harness import ConfigError
 from .problems import InputError
 from .suite import list_problems
@@ -152,8 +153,8 @@ def build_parser():
     p.add_argument("--solver", required=True, choices=harness.SOLVERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--budget", type=int, default=SolverConfig.gradient_budget)
+    p.add_argument("--tol", type=float, default=SolverConfig.criticality_tol)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("profile", help="run a config and emit performance profiles")
@@ -171,7 +172,7 @@ def build_parser():
     p.add_argument("--record", required=True)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--gamma0", type=float, required=True)
-    p.add_argument("--varsigma", type=float, default=1e-2)
+    p.add_argument("--varsigma", type=float, default=AdagradConfig.varsigma)
 
     return parser
 

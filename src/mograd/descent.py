@@ -28,23 +28,20 @@ class DescentConfig(SolverConfig):
     """Parameters of the line-search solver; beta is the Armijo margin."""
 
     beta: float = 0.1
-    min_step: float = MIN_STEP
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise InputError(f"beta must be in (0, 1), got {self.beta}")
-        if not self.min_step > 0:
-            raise InputError(f"min_step must be > 0, got {self.min_step}")
         super().__post_init__()
 
 
-def armijo_backtrack(problem, x, g_s, grads, beta, min_step=MIN_STEP):
+def armijo_backtrack(problem, x, g_s, grads, beta):
     """Halve t from 1 until every objective meets the Armijo decrease.
 
     Returns ``(t, objective_evals_used)``.  The reference values f(x) cost
     one objective evaluation and each tested t costs one more (a single
     m-vector oracle call per candidate).  Raises
-    :class:`LineSearchError` once t would fall below ``min_step``, and
+    :class:`LineSearchError` once t would fall below ``MIN_STEP``, and
     :class:`EvaluationOverflowError` if the first candidate ``x - g_s`` is
     non-finite; every later candidate lies between ``x`` and that point.
     """
@@ -55,7 +52,11 @@ def armijo_backtrack(problem, x, g_s, grads, beta, min_step=MIN_STEP):
     # for bit unless a product is subnormal.
     margin = beta * np.asarray(grads, dtype=float).dot(g_s)
     fx = problem.evaluate(x)
-    point = x - g_s
+    if problem._in_run:  # the run's np.errstate covers an overflow
+        point = x - g_s
+    else:
+        with np.errstate(over="ignore"):
+            point = x - g_s
     if not np.isfinite(point).all():
         raise EvaluationOverflowError(
             f"{problem.name}: line search point is non-finite from x={x}", None, x
@@ -68,10 +69,8 @@ def armijo_backtrack(problem, x, g_s, grads, beta, min_step=MIN_STEP):
         if (candidate <= fx - t * margin).all():
             return t, used
         t *= 0.5
-        if t < min_step:
-            raise LineSearchError(
-                f"backtracking fell below min_step={min_step:.3e}"
-            )
+        if t < MIN_STEP:
+            raise LineSearchError(f"backtracking fell below min_step={MIN_STEP:.3e}")
         point = x - t * g_s
 
 
@@ -86,9 +85,7 @@ def run_descent(problem, x0=None, config=None, *, seed=None):
     def step(x, G, sol, critical):
         if critical:
             return math.nan, x
-        t, _ = armijo_backtrack(
-            problem, x, sol.gradient, G, config.beta, config.min_step
-        )
+        t, _ = armijo_backtrack(problem, x, sol.gradient, G, config.beta)
         return t, x - t * sol.gradient
 
     return _drive(problem, x0, config, seed, "descent", step)

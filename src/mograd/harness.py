@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multitask
-from .adagrad import AdagradConfig, run_adagrad
+from .adagrad import AdagradConfig, SolverConfig, run_adagrad
 from .descent import DescentConfig, run_descent
 from .problems import InputError, NoiseSpec, wrap_noisy
 from .records import RunStatus
@@ -148,10 +148,7 @@ def _rate_report(omega, varsigma, l_max, gamma0):
     return RateReport(theta, running, bound, bool(np.all(running <= bound)))
 
 
-def _solver_config(
-    solver, budget, criticality_tol, thin=None,
-    varsigma=AdagradConfig.varsigma, beta=DescentConfig.beta,
-):
+def _solver_config(solver, budget, criticality_tol, varsigma, beta, thin):
     """``solver``'s config; ``thin=None`` means max(1, budget // 10 000)."""
     if thin is None:
         thin = max(1, budget // 10_000)
@@ -163,30 +160,33 @@ def _solver_config(
     raise ConfigError(f"unknown solver {solver!r}; valid: {SOLVERS}")
 
 
+# The cell parameters of a config and their defaults, read from the config
+# classes; thin=None derives thin from the budget.
+_CELL_DEFAULTS = {
+    "budget": SolverConfig.gradient_budget,
+    "criticality_tol": SolverConfig.criticality_tol,
+    "varsigma": AdagradConfig.varsigma,
+    "beta": DescentConfig.beta,
+    "thin": None,
+}
+
+
 def _run_solver(solver, problem, x0, seed, **params):
     """Build ``solver``'s config and run it through this module's runner names."""
-    config = _solver_config(solver, **params)
+    config = _solver_config(solver, **{**_CELL_DEFAULTS, **params})
     run = run_adagrad if solver == "adagrad" else run_descent
     return run(problem, x0, config, seed=seed)
 
 
-def run_cell(
-    problem_name,
-    solver,
-    seed=0,
-    rho=0.0,
-    budget=100_000,
-    criticality_tol=1e-6,
-    varsigma=1e-2,
-    beta=0.1,
-    thin=None,
-):
+def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     """Run one experiment cell: problem x solver x seed x noise level.
 
-    Benchmark problems start uniformly in their box (seeded); all other
-    instances use their standard start.  The same seed also seeds the
-    noise stream when rho != 0; a negative or non-finite rho raises
-    :class:`InputError`.
+    ``params`` are the cell parameters of a config (``budget``,
+    ``criticality_tol``, ``varsigma``, ``beta``, ``thin``), with the same
+    defaults.  Benchmark problems start uniformly in their box (seeded);
+    all other instances use their standard start.  The same seed also
+    seeds the noise stream when rho != 0; a negative or non-finite rho
+    raises :class:`InputError`.
     """
     if problem_name not in CATALOG:
         raise ConfigError(f"unknown problem {problem_name!r}")
@@ -196,25 +196,15 @@ def run_cell(
         x0 = random_start(problem, seed)
     if rho != 0:
         problem = wrap_noisy(problem, NoiseSpec(rho=rho, seed=seed))
-    return _run_solver(
-        solver, problem, x0, seed, budget=budget, criticality_tol=criticality_tol,
-        varsigma=varsigma, beta=beta, thin=thin,
-    )
+    return _run_solver(solver, problem, x0, seed, **params)
 
-
-# The config fields passed unchanged to every run_cell call.
-_CELL_PARAMS = ("budget", "criticality_tol", "varsigma", "beta", "thin")
 
 _CONFIG_DEFAULTS = {
     "problems": None,
     "solvers": list(SOLVERS),
     "seeds": [0],
     "noise": [0.0],
-    "budget": 100_000,
-    "criticality_tol": 1e-6,
-    "varsigma": 1e-2,
-    "beta": 0.1,
-    "thin": None,
+    **_CELL_DEFAULTS,
 }
 
 
@@ -251,7 +241,7 @@ def load_config(source):
         if solver not in SOLVERS:
             raise ConfigError(f"config field 'solvers': unknown solver {solver!r}")
         try:
-            _solver_config(solver, **{k: merged[k] for k in _CELL_PARAMS})
+            _solver_config(solver, **{k: merged[k] for k in _CELL_DEFAULTS})
         except InputError as exc:
             raise ConfigError(f"config for solver {solver!r}: {exc}") from exc
     seeds = merged["seeds"]
@@ -280,7 +270,7 @@ def run_experiment(config):
     Returns the records in deterministic cell order.
     """
     cfg = load_config(config)
-    params = {k: cfg[k] for k in _CELL_PARAMS}
+    params = {k: cfg[k] for k in _CELL_DEFAULTS}
     return [
         run_cell(name, solver, seed=seed, rho=rho, **params)
         for name in cfg["problems"]

@@ -42,7 +42,9 @@ KINDS = ("quadrants", "diagonals")
 _CLIP = 1e-12
 
 
-@dataclass(frozen=True)
+# eq=False: the array fields have no single truth value, so datasets
+# compare and hash by identity.
+@dataclass(frozen=True, eq=False)
 class Dataset:
     kind: str
     seed: int

@@ -88,6 +88,14 @@ def _check_tol(tol, name="tol"):
         raise InputError(f"{name} must be a positive number, got {tol}")
 
 
+# Where max|G| of an (m, n) G lies in (_TINY, sqrt(_HUGE / 4n)), each squared
+# norm and inner product the closed form or the residual takes of G's rows,
+# of their difference or of a convex combination is a normal float: each is
+# at most 4 n max|G|^2, and the squares of G's entries do not underflow.
+_TINY = 2.0**-500
+_HUGE = float(np.finfo(float).max)
+
+
 def _finish(G, lam, iterations):
     """Clamp stray negatives, renormalize, and package a solution."""
     lam = np.maximum(lam, 0.0)
@@ -103,6 +111,8 @@ def kkt_residual(G, weights):
     for every row and equality on the support.  The residual adds the worst
     violation of the first condition to the weighted violations of the
     second, normalized by (1 + ||g||^2); it is zero exactly at a minimizer.
+    A G whose products could overflow is divided by max|G| first, and the
+    normalization by max|G|^2 with it, so the residual stays finite.
     """
     G = _check_matrix(G)
     lam = np.asarray(weights, dtype=float)
@@ -112,12 +122,17 @@ def kkt_residual(G, weights):
         )
     if lam.min() < -1e-9 or abs(lam.sum() - 1.0) > 1e-9:
         raise InputError("weights must lie on the unit simplex")
+    top = float(np.abs(G).max())
+    unit = 1.0
+    if not 4.0 * G.shape[1] * top * top < _HUGE:
+        G, unit = G / top, 1.0 / top / top
     g = G.T @ lam
     sq = float(g @ g)
     inner = G @ g
     worst = max(0.0, float((sq - inner).max()))
     support = float(lam @ np.abs(inner - sq))
-    return (worst + support) / (1.0 + sq)
+    # unit + sq is 0 only if g underflows to 0 in units of max|G|.
+    return (worst + support) / (unit + sq) if unit + sq else 0.0
 
 
 def min_norm_two(g1, g2):
@@ -130,11 +145,32 @@ def min_norm_two(g1, g2):
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape or g1.ndim != 1:
         raise InputError("min_norm_two expects two vectors of equal length")
-    return _min_norm_rows(_check_matrix(np.array([g1, g2])))
+    return _min_norm_rows(np.array([g1, g2]))
 
 
 def _min_norm_rows(G):
-    """The closed form of :func:`min_norm_two` on a checked (2, n) matrix."""
+    """The closed form of :func:`min_norm_two` on a (2, n) float matrix.
+
+    The scale test that picks the route also checks G.  In range, the
+    weights come from G itself.  Out of range, they come from G / max|G|,
+    the scale-first rule of ``dnrm2`` (J. L. Blue, ACM TOMS 4(1), 1978)
+    that :func:`min_norm_element` follows, and only omega can overflow, to
+    inf and without a warning.
+    """
+    top = float(abs(G).max(initial=0.0))  # nan if an entry is
+    if _TINY < top and 4.0 * G.shape[1] * top * top < _HUGE:
+        lam = _two_weights(G)
+        g = G.T.dot(lam)
+        return SubproblemSolution(lam, g, float(g.dot(g)), 0, G)
+    G = _check_matrix(G)
+    lam = _two_weights(G / top) if top else np.array([1.0, 0.0])
+    with np.errstate(over="ignore"):
+        g = G.T.dot(lam)
+        return SubproblemSolution(lam, g, float(g.dot(g)), 0, G)
+
+
+def _two_weights(G):
+    """The weights [lam1, 1 - lam1] of the min-norm point of G's two rows."""
     g1, g2 = G
     diff = g1 - g2
     denom = float(diff.dot(diff))
@@ -144,9 +180,7 @@ def _min_norm_rows(G):
         lam1 = min(1.0, max(0.0, float(g2.dot(g2 - g1)) / denom))
     # No _finish: lam1 is in [0, 1] and lam1 + (1 - lam1) rounds to exactly
     # 1, so its clamp and renormalization would leave lam as it is.
-    lam = np.array([lam1, 1.0 - lam1])
-    g = G.T.dot(lam)
-    return SubproblemSolution(lam, g, float(g.dot(g)), 0, G)
+    return np.array([lam1, 1.0 - lam1])
 
 
 def _affine_minimizer(M):
@@ -236,7 +270,7 @@ def solve_direction(G, tol=1e-10):
     """
     G = np.asarray(G, dtype=float)
     if G.ndim == 2 and G.shape[0] == 2:
-        return _min_norm_rows(_check_matrix(G))
+        return _min_norm_rows(G)
     return min_norm_element(G, tol=tol)
 
 

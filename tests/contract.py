@@ -82,6 +82,21 @@ def _bigg():
     return MultiObjectiveProblem("BIGG", 2, 2, [1, 1], lambda x: c @ x, lambda x: c)
 
 
+def _big_opposite():
+    # f = (c x0 + x1^2 / 2, -c x0 + x1^2 / 2): the gradient rows nearly cancel
+    # at a scale where ||g1 - g2||^2 overflows.  The min-norm weights are
+    # [0.5, 0.5], so the combined gradient is (0, x1).
+    c = 1e154
+
+    def objectives(x):
+        return np.array([c * x[0], -c * x[0]]) + 0.5 * x[1] ** 2
+
+    def jac(x):
+        return np.array([[c, x[1]], [-c, x[1]]])
+
+    return MultiObjectiveProblem("BIGOPP", 2, 2, (0.0, 5.0), objectives, jac)
+
+
 class RunContract:
     """What the solver loop guarantees whichever step rule it runs."""
 
@@ -159,3 +174,10 @@ class RunContract:
         assert rec.iterations == 0
         assert "omega is non-finite" in rec.failure_reason
         assert np.array_equal(rec.final_x, [1.0, 1.0])
+
+    def test_nearly_opposite_huge_gradients_end_critical(self):
+        rec = self.run(_big_opposite(), config=self.config(gradient_budget=10_000))
+        assert rec.status == RunStatus.CRITICAL
+        assert rec.final_x[0] == 0.0
+        assert abs(rec.final_x[1]) <= rec.config["criticality_tol"]
+        assert rec.trajectory.omega[0] == 25.0

@@ -1,6 +1,7 @@
 """Tests for the Armijo line-search solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ class TestArmijo:
         assert np.array_equal(info.value.x, x)
         assert p.counters.objective_evals == 1
 
+    def test_public_overflowing_first_candidate_raises_without_warning(self):
+        p = MultiObjectiveProblem(
+            "LIN", 1, 2, [0.0],
+            lambda x: np.array([x[0], -x[0]]),
+            lambda x: np.array([[1.0], [-1.0]]),
+        )
+        x, g_s = np.array([-1e308]), np.array([1e308])
+        grads = p.jacobian(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationOverflowError):
+                armijo_backtrack(p, x, g_s, grads, beta=0.1)
+
     def test_hoisted_margin_is_bit_identical(self):
         # armijo_backtrack tests t * (beta * slopes) in place of
         # beta * t * slopes.  Scaling by a power of two is exact while every
@@ -169,7 +183,6 @@ class TestConfig(ConfigContract):
         "beta",
         "criticality_tol",
         "gradient_budget",
-        "min_step",
         "subproblem_tol",
     }
 
@@ -178,15 +191,9 @@ class TestConfig(ConfigContract):
         with pytest.raises(InputError):
             DescentConfig(beta=bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_min_step_positive(self, bad):
-        with pytest.raises(InputError, match="min_step must be > 0"):
-            DescentConfig(min_step=bad)
-
     def test_defaults(self):
         cfg = DescentConfig()
         assert cfg.beta == 0.1
-        assert cfg.min_step == 2.0**-50
 
 
 class TestRun(RunContract):

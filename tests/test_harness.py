@@ -26,7 +26,8 @@ from mograd import (
     run_multitask,
     theta_constant,
 )
-from mograd import harness
+from mograd import AdagradConfig, DescentConfig, harness
+from mograd.cli import build_parser
 from mograd.harness import load_config, load_summary, load_trajectory_csv
 
 
@@ -181,6 +182,28 @@ class TestConfig:
         assert cfg["solvers"] == ["adagrad", "descent"]
         assert cfg["seeds"] == [0]
         assert cfg["budget"] == 100_000
+
+    def test_defaults_come_from_the_config_classes(self):
+        adagrad, descent = AdagradConfig(), DescentConfig()
+        want = {
+            "budget": adagrad.gradient_budget,
+            "criticality_tol": adagrad.criticality_tol,
+            "varsigma": adagrad.varsigma,
+            "beta": descent.beta,
+        }
+        cfg = load_config({"problems": ["MOP1"]})
+        assert {k: cfg[k] for k in want} == want
+        assert run_cell("MOP1", "adagrad").config == adagrad.echo()
+        assert run_cell("MOP1", "descent").config == descent.echo()
+        parser = build_parser()
+        solve = parser.parse_args(
+            ["solve", "--problem", "MOP1", "--solver", "adagrad", "--out", "o"]
+        )
+        assert (solve.budget, solve.tol) == (want["budget"], want["criticality_tol"])
+        rate = parser.parse_args(
+            ["rate-check", "--record", "r", "--lmax", "1", "--gamma0", "0"]
+        )
+        assert rate.varsigma == want["varsigma"]
 
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -146,6 +146,13 @@ class TestDataset:
         d = generate_dataset("diagonals", N=100, seed=0)
         assert (d.n_features, d.n_classes, d.n_params) == (6, 2, 12)
 
+    def test_compares_and_hashes_by_identity(self):
+        a = generate_dataset("quadrants", N=20)
+        b = generate_dataset("quadrants", N=20)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             generate_dataset("spiral")

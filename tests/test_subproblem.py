@@ -1,5 +1,8 @@
 """Tests for the min-norm subproblem: closed form, active-set solver, oracles."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -52,6 +55,83 @@ class TestMinNormTwo:
             a = min_norm_two(g1, g2)
             b = min_norm_element(np.vstack([g1, g2]), tol=1e-12)
             assert abs(a.omega - b.omega) <= 1e-10 * (1.0 + a.omega)
+
+
+def _omega_agrees(omega, weights, G):
+    """``omega`` is within 1e-12 max_j ||g_j||^2 of ||G^T weights||^2.
+
+    Both sides are taken in units of max|G|^2, so that the reference does
+    not overflow: its rounding residue can, where the rows cancel at a
+    large scale.  An inf ``omega`` agrees if the reference, within the
+    bound, overflows too.  The bound also allows n * 2**-1074, the spacing
+    of subnormal squares, which any computed omega carries.
+    """
+    top = float(np.abs(G).max())
+    if top == 0.0:
+        return omega == 0.0
+    rows = G / top
+    g = rows.T @ weights
+    ref = float(g @ g)
+    bound = 1e-12 * float((rows * rows).sum(axis=1).max())
+    bound += G.shape[1] * 2.0**-1074 / top / top
+    if math.isinf(omega):
+        return math.isinf((ref + bound) * top * top)
+    return abs(omega / top / top - ref) <= bound
+
+
+class TestMinNormTwoAtExtremeScales:
+    """The closed form at row scales 1e-300 to 1e300, opposite pairs included."""
+
+    def test_nearly_opposite_rows_past_the_overflow_of_their_difference(self):
+        G = np.array([[1e154, 5.0], [-1e154, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_direction(G)
+        assert sol.weights.tolist() == [0.5, 0.5]
+        assert sol.gradient.tolist() == [0.0, 5.0]
+        assert sol.omega == 25.0
+
+    def test_weights_do_not_depend_on_a_power_of_two_scale(self):
+        # Scaling by 2**k is exact, and so is dividing by max|G| after it.
+        G = np.array([[1.0, 0.375], [-0.5, 0.75]])
+        want = solve_direction(G).weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-1000, -540, -300, 300, 540, 1000):
+                assert solve_direction(2.0**k * G).weights.tobytes() == want.tobytes(), k
+
+    def test_omega_matches_active_set_at_any_scale(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @st.composite
+        def pairs(draw):
+            n = draw(st.integers(1, 4))
+            unit = hnp.arrays(float, n, elements=st.floats(-1.0, 1.0))
+            u, v = draw(unit), draw(unit)
+            e1 = draw(st.integers(-300, 300))
+            g1 = u * 10.0**e1
+            if draw(st.booleans()):
+                # Nearly opposite: g2 = -g1 plus a part no larger than g1's scale.
+                return np.array([g1, -g1 + v * 10.0 ** draw(st.integers(-300, e1))])
+            return np.array([g1, v * 10.0 ** draw(st.integers(-300, 300))])
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+        @hypothesis.given(G=pairs())
+        @hypothesis.example(G=np.array([[1e154, 5.0], [-1e154, 5.0]]))
+        @hypothesis.example(G=np.array([[1e160, 5.0], [-1e160, 5.0]]))
+        @hypothesis.example(G=1e200 * np.eye(2))
+        @hypothesis.example(G=np.array([[1e-300, 1e-310], [-1e-300, 1e-310]]))
+        def check(G):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sol = solve_direction(G)
+            with np.errstate(over="ignore"):  # the reference's own omega may overflow
+                ref = min_norm_element(G, tol=1e-14)
+            assert _omega_agrees(sol.omega, ref.weights, G), (sol.omega, ref.weights)
+
+        check()
 
 
 class TestMinNormElement:
@@ -321,6 +401,25 @@ class TestKktResidual:
         G = np.array([[1.0, 2.0], [1.0, 2.0]])
         assert kkt_residual(G, np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-15)
 
+    def test_finite_where_the_squared_norm_overflows(self):
+        G = 1e200 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kkt_residual(G, np.array([0.5, 0.5])) == 0.0
+            assert kkt_residual(G, np.array([1.0, 0.0])) == 1.0
+            opposite = np.array([[1e200], [-1e200]])
+            assert kkt_residual(opposite, np.array([0.5, 0.5])) == 0.0
+
+    def test_scaled_route_continues_the_plain_one(self, rng):
+        # Past max|G| = 1e150 the normalization 1 + ||g||^2 is ||g||^2 to
+        # rounding, so the residual no longer depends on the scale of G.
+        for _ in range(50):
+            G = rng.normal(size=(2, 3))
+            lam = rng.dirichlet(np.ones(2))
+            plain = kkt_residual(1e150 * G, lam)
+            scaled = kkt_residual(1e200 * G, lam)
+            assert scaled == pytest.approx(plain, rel=1e-12, abs=1e-300)
+
     def test_off_simplex_rejected(self):
         G = np.eye(2)
         with pytest.raises(InputError):
@@ -427,10 +526,15 @@ class TestSolveDirection:
         monkeypatch.setattr(subproblem, "_check_matrix", counting)
         G = np.array([[1.0, 2.0], [3.0, -1.0]])
         sol = solve_direction(G)
-        assert calls == [(2, 2)]
+        # In range, the scale test that picks the route is the only check.
+        assert calls == []
         assert sol.jacobian is G  # no copy of the already-checked matrix
         with pytest.raises(InputError):
             solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        assert calls == [(2, 2)]
+        calls.clear()
+        solve_direction(1e200 * G)
+        assert calls == [(2, 2)]
 
     def test_three_rows_checked_once(self, monkeypatch):
         calls = []
