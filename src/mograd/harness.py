@@ -20,7 +20,7 @@ from . import multitask
 from .adagrad import AdagradConfig, SolverConfig, run_adagrad
 from .descent import DescentConfig, run_descent
 from .problems import InputError, NoiseSpec, wrap_noisy
-from .records import RunStatus
+from .records import TRAJECTORY_COLUMNS, RunStatus
 from .suite import CATALOG, get_problem, random_start
 
 SOLVERS = ("adagrad", "descent")
@@ -386,26 +386,27 @@ def export(records, format, path):
     """Write records as trajectory CSVs or a JSON summary.
 
     ``format="csv"``: ``path`` is a directory; one trajectory file per
-    record (columns k, omega, weight_or_step, gradient_evals,
-    objective_evals) plus an index.csv keying file names to cells.
-    ``format="json"``: ``path`` is a file; one summary object per record
-    including the budget cost and wall time.  Output is byte-stable for
-    identical records.
+    record (column ``k``, then the headers of ``TRAJECTORY_COLUMNS`` in
+    ``records.py``) plus an index.csv keying file names to cells.  Two
+    records with one file stem raise :class:`InputError` before any file
+    is written.  ``format="json"``: ``path`` is a file; one summary
+    object per record including the budget cost and wall time.  Output
+    is byte-stable for identical records.
     """
     if format == "csv":
+        stems = [_stem(r.problem, r.solver, r.seed, r.noise_rho) for r in records]
+        if len(set(stems)) < len(stems):
+            shared = next(s for s in stems if stems.count(s) > 1)
+            raise InputError(f"two records export to one trajectory file, {shared}.csv")
         os.makedirs(path, exist_ok=True)
+        trajectory_header = ",".join(["k", *(csv for _, csv, _ in TRAJECTORY_COLUMNS)])
         index_rows = []
-        for r in records:
-            stem = _stem(r.problem, r.solver, r.seed, r.noise_rho)
+        for r, stem in zip(records, stems):
             t = r.trajectory
-            lines = ["k,omega,weight_or_step,gradient_evals,objective_evals"]
-            for k in range(len(t)):
-                lines.append(
-                    f"{k},{float(t.omega[k])!r},{float(t.scale[k])!r},"
-                    f"{t.gradient_evals[k]},{t.objective_evals[k]}"
-                )
+            columns = [getattr(t, name).tolist() for name, _, _ in TRAJECTORY_COLUMNS]
+            rows = (",".join(map(repr, row)) for row in zip(range(len(t)), *columns))
             with open(os.path.join(path, stem + ".csv"), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join([trajectory_header, *rows]) + "\n")
             index_rows.append(
                 f"{stem}.csv,{r.problem},{r.solver},{r.seed},"
                 f"{r.noise_rho:g},{r.status.value},{budget_cost(r)!r}"
@@ -420,11 +421,18 @@ def export(records, format, path):
                 for r in records
             ]
         }
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         raise InputError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def _json_scalar(value):
+    """The Python value of a numpy scalar, for ``json``; anything else is an error."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_summary(path):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -14,9 +14,19 @@ class RunStatus(str, enum.Enum):
     FAILED = "Failed"
 
 
+# A trajectory's per-iteration columns, in CSV order: (Trajectory field,
+# CSV header, dtype).  The builder, Trajectory and the CSV export follow it.
+TRAJECTORY_COLUMNS = (
+    ("omega", "omega", float),
+    ("scale", "weight_or_step", float),
+    ("gradient_evals", "gradient_evals", int),
+    ("objective_evals", "objective_evals", int),
+)
+
+
 @dataclass
 class Trajectory:
-    """Per-iteration history of a run.
+    """Per-iteration history of a run: one array per TRAJECTORY_COLUMNS entry.
 
     ``scale`` holds the Adagrad weight w_k or the accepted Armijo step
     alpha_k depending on the solver (NaN where no step was taken, e.g. the
@@ -39,30 +49,23 @@ class Trajectory:
 class _TrajectoryBuilder:
     def __init__(self, thin):
         self.thin = thin
-        self.omega = []
-        self.scale = []
-        self.gradient_evals = []
-        self.objective_evals = []
+        self.values = []  # row after row, each in TRAJECTORY_COLUMNS order
         self.x = {}
 
     def append(self, k, x, omega, scale, counters):
-        self.omega.append(omega)
-        self.scale.append(scale)
-        self.gradient_evals.append(counters.gradient_evals)
-        self.objective_evals.append(counters.objective_evals)
+        self.values += (omega, scale, counters.gradient_evals, counters.objective_evals)
         if k % self.thin == 0:
             self.x[k] = np.array(x)
 
     def build(self, final_k, final_x):
         if final_k not in self.x:
             self.x[final_k] = np.array(final_x)
-        return Trajectory(
-            np.asarray(self.omega, dtype=float),
-            np.asarray(self.scale, dtype=float),
-            np.asarray(self.gradient_evals, dtype=int),
-            np.asarray(self.objective_evals, dtype=int),
-            self.x,
-        )
+        step = len(TRAJECTORY_COLUMNS)
+        arrays = {
+            name: np.array(self.values[i::step], dtype=dtype)
+            for i, (name, _, dtype) in enumerate(TRAJECTORY_COLUMNS)
+        }
+        return Trajectory(**arrays, x=self.x)
 
 
 @dataclass
@@ -89,17 +92,8 @@ class RunRecord:
 
     def summary(self):
         """JSON-ready summary; deterministic for identical runs."""
-        return {
-            "problem": self.problem,
-            "solver": self.solver,
-            "config": self.config,
-            "seed": self.seed,
-            "noise_rho": self.noise_rho,
-            "n": self.n,
-            "status": self.status.value,
-            "final_x": [float(v) for v in self.final_x],
-            "iterations": self.iterations,
-            "gradient_evals": self.gradient_evals,
-            "objective_evals": self.objective_evals,
-            "failure_reason": self.failure_reason,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        del out["trajectory"], out["wall_time"]
+        out.update(status=self.status.value, final_x=self.final_x.tolist())
+        out["iterations"] = self.iterations
+        return out

@@ -1,16 +1,20 @@
 """Tests for cost accounting, profiles, configs, and export."""
 
+import dataclasses
+import itertools
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mograd import (
     ConfigError,
     InputError,
+    MultiObjectiveProblem,
     RunStatus,
     budget_cost,
     export,
@@ -399,6 +403,153 @@ class TestExport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InputError):
             export([], "parquet", tmp_path / "x")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"seeds": [np.int64(1)]}, {"criticality_tol": np.float32(1e-6)}],
+        ids=["int64-seed", "float32-tol"],
+    )
+    def test_json_numpy_scalars_write_their_values(self, cfg, tmp_path):
+        # load_config admits numpy scalars; the summary writes their Python values.
+        base = {"problems": ["MOP1"], "solvers": ["adagrad"], "budget": 50}
+        (rec,) = run_experiment({**base, **cfg})
+        assert {type(rec.seed), *map(type, rec.config.values())} & {np.int64, np.float32}
+        config = {
+            k: v.item() if isinstance(v, np.generic) else v for k, v in rec.config.items()
+        }
+        twin = dataclasses.replace(rec, seed=int(rec.seed), config=config)
+        export([rec], "json", tmp_path / "numpy.json")
+        export([twin], "json", tmp_path / "plain.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_json_failure_writes_nothing(self, tmp_path):
+        (rec,) = run_experiment({"problems": ["MOP1"], "solvers": ["adagrad"], "budget": 5})
+        bad = dataclasses.replace(rec, config={**rec.config, "varsigma": object()})
+        path = tmp_path / "s.json"
+        with pytest.raises(TypeError, match="object"):
+            export([bad], "json", path)
+        assert not path.exists()
+
+    def test_colliding_stems_rejected_before_any_file(self, tmp_path):
+        records = run_experiment(
+            {
+                "problems": ["MOP1"],
+                "solvers": ["adagrad"],
+                "noise": [0.05, 0.05000001],
+                "budget": 50,
+            }
+        )
+        assert not np.array_equal(records[0].trajectory.omega, records[1].trajectory.omega)
+        out = tmp_path / "runs"
+        with pytest.raises(InputError, match="MOP1__adagrad__seed0__rho0.05"):
+            export(records, "csv", out)
+        assert not out.exists()
+
+    def test_readme_lists_the_trajectory_columns(self, tmp_path):
+        # The README's column list, read from its bullets, is the header export writes.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = readme.split("A trajectory CSV has", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("- `"))
+        block = itertools.takewhile(lambda line: line.startswith(("- ", "  ")), lines[start:])
+        documented = [line.split("`")[1] for line in block if line.startswith("- ")]
+        export(self._records()[:1], "csv", tmp_path)
+        (csv,) = tmp_path.glob("MOP1__*.csv")
+        assert documented == csv.read_text().splitlines()[0].split(",")
+
+
+def _bigg():
+    # The first combined gradient's squared norm overflows: the run ends
+    # Failed at its first Jacobian and records no row.
+    c = 1e200 * np.eye(2)
+    return MultiObjectiveProblem("BIGG", 2, 2, [1, 1], lambda x: c @ x, lambda x: c)
+
+
+class TestExportBytes:
+    """The export format, written out here as the files have always had it."""
+
+    HEADER = "k,omega,weight_or_step,gradient_evals,objective_evals"
+    INDEX_HEADER = "file,problem,solver,seed,noise_rho,status,cost"
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        records = [
+            run_cell("MOP1", "adagrad", budget=200),
+            run_cell("MOP1", "descent", budget=200),
+            run_adagrad(_bigg()),
+        ]
+        assert math.isnan(records[1].trajectory.scale[-1])
+        assert records[2].status == RunStatus.FAILED
+        assert len(records[2].trajectory) == 0
+        return records
+
+    def _trajectory_text(self, t):
+        rows = [
+            f"{k},{float(omega)!r},{float(scale)!r},{ge},{oe}"
+            for k, (omega, scale, ge, oe) in enumerate(
+                zip(t.omega, t.scale, t.gradient_evals, t.objective_evals)
+            )
+        ]
+        return "\n".join([self.HEADER, *rows]) + "\n"
+
+    def test_csv_bytes(self, records, tmp_path):
+        export(records, "csv", tmp_path)
+        index = [self.INDEX_HEADER]
+        for r in records:
+            stem = f"{r.problem}__{r.solver}__seed{r.seed}__rho{r.noise_rho:g}"
+            text = (tmp_path / f"{stem}.csv").read_text()
+            assert text == self._trajectory_text(r.trajectory)
+            index.append(
+                f"{stem}.csv,{r.problem},{r.solver},{r.seed},"
+                f"{r.noise_rho:g},{r.status.value},{budget_cost(r)!r}"
+            )
+        assert (tmp_path / "index.csv").read_text() == "\n".join(index) + "\n"
+
+    def test_csv_round_trips_exactly(self, records, tmp_path):
+        export(records, "csv", tmp_path)
+        for r in records:
+            cols = load_trajectory_csv(
+                tmp_path / f"{r.problem}__{r.solver}__seed{r.seed}__rho0.csv"
+            )
+            assert list(cols) == self.HEADER.split(",")
+            t = r.trajectory
+            assert_array_equal(cols["k"], np.arange(len(t)))
+            assert_array_equal(cols["omega"], t.omega)
+            assert_array_equal(cols["weight_or_step"], t.scale)
+            assert_array_equal(cols["gradient_evals"], t.gradient_evals)
+            assert_array_equal(cols["objective_evals"], t.objective_evals)
+
+    def test_zero_row_run_exports_the_header_alone(self, records, tmp_path):
+        export(records[2:], "csv", tmp_path)
+        path = tmp_path / "BIGG__adagrad__seedNone__rho0.csv"
+        assert path.read_text() == self.HEADER + "\n"
+        cols = load_trajectory_csv(path)
+        assert list(cols) == self.HEADER.split(",")
+        assert all(len(col) == 0 for col in cols.values())
+
+    def test_summary_keys(self, records, tmp_path):
+        keys = {
+            "problem",
+            "solver",
+            "config",
+            "seed",
+            "noise_rho",
+            "n",
+            "status",
+            "final_x",
+            "iterations",
+            "gradient_evals",
+            "objective_evals",
+            "failure_reason",
+        }
+        for r in records:
+            summary = r.summary()
+            assert set(summary) == keys
+            assert summary["status"] == r.status.value
+            assert summary["final_x"] == [float(v) for v in r.final_x]
+            assert summary["iterations"] == len(r.trajectory)
+        export(records, "json", tmp_path / "s.json")
+        rows = load_summary(tmp_path / "s.json")["records"]
+        assert [set(row) for row in rows] == [keys | {"cost", "wall_time"}] * 3
 
 
 class TestMultitaskRun:
