@@ -21,7 +21,10 @@ from .problems import (
     EvaluationOverflowError,
     InputError,
     LineSearchError,
+    _check_x,
     _finite,
+    _in_run,
+    run_scope,
 )
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
 from .subproblem import _check_tol, solve_direction
@@ -80,9 +83,11 @@ def adagrad_step(x, w, g_s):
     Returns ``(x - g_s / w_next, w_next)`` with
     ``w_next = sqrt(w^2 + ||g_s||^2)``: the weight is updated before the
     move.  A non-finite entry raises :class:`InputError`; a square that
-    overflows warns, as any numpy overflow does outside ``np.errstate``,
-    and is then taken as inf.
+    overflows is taken as inf, without a warning.
     """
+    if not _in_run():
+        with run_scope():
+            return adagrad_step(x, w, g_s)
     g_s = np.asarray(g_s, dtype=float)
     sq = float(g_s.dot(g_s))
     # The square is finite unless an entry is non-finite or it overflows.
@@ -99,57 +104,49 @@ def _drive(problem, x0, config, seed, solver, step):
     the run Failed with no row; a failed step, or one that leaves a
     non-finite point, ends it Failed with a NaN-scale row.
 
-    ``x0`` is checked once, raising :class:`InputError`; for the rest of
-    the run the oracles skip their per-call point check and the loop runs
-    under one ``np.errstate``.  Every point the run makes is tested here
-    (and each line search tests its first candidate), which the per-call
-    check would only repeat: a finite omega bounds ``|g|`` below about
-    1.3e154, far under half an ulp at the top of the float range, so a
-    step of at most ``|g|`` from a finite point stays finite.
+    ``x0`` is checked once, raising :class:`InputError`, and the loop runs
+    in one :func:`~mograd.problems.run_scope`.  Every point the run makes is
+    tested here (and each line search tests its first candidate), which the
+    oracles' per-call check would only repeat: a finite omega bounds ``|g|``
+    below about 1.3e154, far under half an ulp at the top of the float
+    range, so a step of at most ``|g|`` from a finite point stays finite.
     """
-    base = problem
-    while hasattr(base, "_base"):  # the problem under its noise wrappers
-        base = base._base
-    x = base._check_x(np.array(problem.standard_start if x0 is None else x0, dtype=float))
+    x = _check_x(problem, np.array(problem.standard_start if x0 is None else x0, dtype=float))
     traj = _TrajectoryBuilder(config.thin)
     status = RunStatus.BUDGET_EXHAUSTED
     reason = None
     k = 0
 
-    base._in_run = True
     start = time.perf_counter()
-    try:
-        with np.errstate(all="ignore"):
-            while problem.counters.gradient_evals < config.gradient_budget:
-                try:
-                    G = problem.jacobian(x)
-                    sol = solve_direction(G, tol=config.subproblem_tol)
-                    if not math.isfinite(sol.omega):
-                        raise EvaluationOverflowError(
-                            f"{problem.name}: omega is non-finite at x={x}", None, x
-                        )
-                except (EvaluationOverflowError, ConvergenceError) as exc:
-                    status, reason = RunStatus.FAILED, str(exc)
-                    break
-                critical = math.sqrt(sol.omega) <= config.criticality_tol
-                try:
-                    scale, next_x = step(x, G, sol, critical)
-                    if not _finite(next_x):
-                        raise EvaluationOverflowError(
-                            f"{problem.name}: step from x={x} is non-finite", None, x
-                        )
-                except (LineSearchError, EvaluationOverflowError) as exc:
-                    traj.append(k, x, sol.omega, math.nan, problem.counters)
-                    status, reason = RunStatus.FAILED, str(exc)
-                    break
-                traj.append(k, x, sol.omega, scale, problem.counters)
-                if critical:
-                    status = RunStatus.CRITICAL
-                    break
-                x = next_x
-                k += 1
-    finally:
-        base._in_run = False
+    with run_scope():
+        while problem.counters.gradient_evals < config.gradient_budget:
+            try:
+                G = problem.jacobian(x)
+                sol = solve_direction(G, tol=config.subproblem_tol)
+                if not math.isfinite(sol.omega):
+                    raise EvaluationOverflowError(
+                        f"{problem.name}: omega is non-finite at x={x}", None, x
+                    )
+            except (EvaluationOverflowError, ConvergenceError) as exc:
+                status, reason = RunStatus.FAILED, str(exc)
+                break
+            critical = math.sqrt(sol.omega) <= config.criticality_tol
+            try:
+                scale, next_x = step(x, G, sol, critical)
+                if not _finite(next_x):
+                    raise EvaluationOverflowError(
+                        f"{problem.name}: step from x={x} is non-finite", None, x
+                    )
+            except (LineSearchError, EvaluationOverflowError) as exc:
+                traj.append(k, x, sol.omega, math.nan, problem.counters)
+                status, reason = RunStatus.FAILED, str(exc)
+                break
+            traj.append(k, x, sol.omega, scale, problem.counters)
+            if critical:
+                status = RunStatus.CRITICAL
+                break
+            x = next_x
+            k += 1
     wall = time.perf_counter() - start
 
     return RunRecord(

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adagrad import SolverConfig, _drive
 from .problems import EvaluationOverflowError, InputError, LineSearchError
+from .problems import _check_x, _finite, _in_run, run_scope
 
 # Not called here: perfbench/spans.py patches descent.solve_direction.
 from .subproblem import solve_direction  # noqa: F401
@@ -44,7 +45,11 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     :class:`LineSearchError` once t would fall below ``MIN_STEP``, and
     :class:`EvaluationOverflowError` if the first candidate ``x - g_s`` is
     non-finite; every later candidate lies between ``x`` and that point.
+    A public call checks ``x`` and runs in a ``run_scope`` of its own.
     """
+    if not _in_run():
+        with run_scope():
+            return armijo_backtrack(problem, _check_x(problem, x), g_s, grads, beta)
     g_s = np.asarray(g_s, dtype=float)
     if not np.isfinite(g_s).all() or not g_s.any():
         raise InputError("line search requires a finite nonzero direction")
@@ -52,12 +57,8 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     # for bit unless a product is subnormal.
     margin = beta * np.asarray(grads, dtype=float).dot(g_s)
     fx = problem.evaluate(x)
-    if problem._in_run:  # the run's np.errstate covers an overflow
-        point = x - g_s
-    else:
-        with np.errstate(over="ignore"):
-            point = x - g_s
-    if not np.isfinite(point).all():
+    point = x - g_s
+    if not _finite(point):
         raise EvaluationOverflowError(
             f"{problem.name}: line search point is non-finite from x={x}", None, x
         )

@@ -9,6 +9,7 @@ tables, declarative experiment configs, and CSV/JSON export.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -209,7 +210,11 @@ _CONFIG_DEFAULTS = {
 
 
 def load_config(source):
-    """Read and validate an experiment config (a dict or a JSON file path)."""
+    """Read and validate an experiment config (a dict or a JSON file path).
+
+    A repeated cell, such as a repeated seed, raises :class:`ConfigError`
+    naming its trajectory file stem, before any cell runs.
+    """
     if isinstance(source, dict):
         cfg = dict(source)
     else:
@@ -252,6 +257,11 @@ def load_config(source):
         _is_number(rho) and math.isfinite(rho) and rho >= 0 for rho in noise
     ):
         raise ConfigError("config field 'noise': must be a list of finite levels >= 0")
+    cells = set()
+    for cell in itertools.product(merged["problems"], merged["solvers"], seeds, noise):
+        if cell in cells:
+            raise ConfigError(f"config repeats the cell {_stem(*cell)}")
+        cells.add(cell)
     return merged
 
 

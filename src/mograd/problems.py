@@ -7,7 +7,10 @@ solvers can be compared on evaluation budgets rather than wall time.
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +74,49 @@ def _overflow(name, values, x):
     )
 
 
+_RUN = ContextVar("mograd_run", default=False)
+_in_run = _RUN.get
+
+
+@contextmanager
+def run_scope():
+    """The scope of a solver run, in which oracle calls skip their point check.
+
+    One ``np.errstate(all="ignore")`` covers it.  Other threads keep their
+    checks, but a public oracle call made inside a run on the run's thread
+    (a user oracle that calls another problem) is in the scope.  Scopes nest.
+    """
+    token = _RUN.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _RUN.reset(token)
+
+
+def _check_x(problem, x):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.n,):
+        raise InputError(
+            f"{problem.name}: point has shape {x.shape}, expected ({problem.n},)"
+        )
+    if not np.isfinite(x).all():
+        raise InputError(f"{problem.name}: point contains non-finite entries")
+    return x
+
+
+def _oracle(method):
+    """Outside a run, check ``x`` and call ``method`` in a scope of its own."""
+    @functools.wraps(method)
+    def oracle(self, x):  # not *args: that doubles the cost of an in-run call
+        if _in_run():
+            return method(self, x)
+        with run_scope():
+            return method(self, _check_x(self, x))
+
+    return oracle
+
+
 @dataclass
 class EvalCounters:
     """Cumulative oracle call counts, monotone over the problem's life."""
@@ -112,57 +158,30 @@ class MultiObjectiveProblem:
 
     # Noise level of the oracle; plain problems are exact.
     noise_rho = 0.0
-    # Set by a solver run for its duration; see evaluate().
-    _in_run = False
 
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InputError(
-                f"{self.name}: point has shape {x.shape}, expected ({self.n},)"
-            )
-        if not np.isfinite(x).all():
-            raise InputError(f"{self.name}: point contains non-finite entries")
-        return x
-
+    @_oracle
     def evaluate(self, x):
         """Objective vector f(x), counted as one objective evaluation.
 
         A public call checks ``x`` and raises :class:`InputError` for a
         wrong shape or a non-finite entry.  Inside a solver run the point
-        is not checked again: the run checked ``x0`` once and checks each
-        point it makes (see :func:`mograd.adagrad._drive`).
+        is not checked again (see :func:`run_scope`).
         """
-        if self._in_run:
-            y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
-            self.counters.objective_evals += 1
-            finite = _finite(y)
-        else:
-            x = self._check_x(x)
-            with np.errstate(all="ignore"):
-                y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
-                self.counters.objective_evals += 1
-                finite = _finite(y)
-        if not finite:
+        y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
+        self.counters.objective_evals += 1
+        if not _finite(y):
             raise _overflow(self.name, y, x)
         return y
 
+    @_oracle
     def jacobian(self, x):
         """Gradient rows, shape (m, n), counted as one gradient evaluation.
 
         ``x`` is checked as in :meth:`evaluate`.
         """
-        if self._in_run:
-            G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
-            self.counters.gradient_evals += 1
-            finite = _finite(G)
-        else:
-            x = self._check_x(x)
-            with np.errstate(all="ignore"):
-                G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
-                self.counters.gradient_evals += 1
-                finite = _finite(G)
-        if not finite:
+        G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
+        self.counters.gradient_evals += 1
+        if not _finite(G):
             raise _overflow(self.name, G, x)
         return G
 
@@ -209,17 +228,14 @@ class NoisyProblem:
         self.noise_rho = spec.rho
         self.counters = base.counters
 
-    @property
-    def _in_run(self):
-        # Set on the innermost base by the run; see MultiObjectiveProblem.
-        return self._base._in_run
-
+    @_oracle
     def evaluate(self, x):
         y = self._base.evaluate(x)
         if self.spec.rho == 0.0:
             return y
         return self._corrupt(y, x)
 
+    @_oracle
     def jacobian(self, x):
         G = self._base.jacobian(x)
         if self.spec.rho == 0.0:
@@ -231,19 +247,13 @@ class NoisyProblem:
 
         One draw per entry, row-major, in call order, so the stream layout is
         reproducible.  A finite value can still overflow here; that is an
-        :class:`EvaluationOverflowError`, as in the base oracle.  Inside a
-        run the run's ``np.errstate`` covers the overflow.
+        :class:`EvaluationOverflowError`, as in the base oracle.  Always
+        called in a run scope, whose ``np.errstate`` covers the overflow.
         """
         xi = self._rng.standard_normal(values.shape)
-        if self._in_run:
-            noisy = values * (1.0 + self.spec.rho * xi)
-            finite = _finite(noisy)
-        else:
-            with np.errstate(over="ignore"):
-                noisy = values * (1.0 + self.spec.rho * xi)
-                finite = _finite(noisy)
-        if not finite:
-            raise _overflow(self.name, noisy, np.asarray(x, dtype=float))
+        noisy = values * (1.0 + self.spec.rho * xi)
+        if not _finite(noisy):
+            raise _overflow(self.name, noisy, x)
         return noisy
 
 

@@ -127,6 +127,19 @@ class TestArmijo:
             with pytest.raises(EvaluationOverflowError):
                 armijo_backtrack(p, x, g_s, grads, beta=0.1)
 
+    def test_public_overflowing_margin_raises_without_warning(self):
+        # grads . g_s overflows to inf, so no candidate meets the margin.
+        p = MultiObjectiveProblem(
+            "LIN", 1, 2, [0.0],
+            lambda x: np.array([x[0], -x[0]]),
+            lambda x: np.array([[1.0], [-1.0]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LineSearchError):
+                armijo_backtrack(p, np.zeros(1), np.array([1e10]), np.full((2, 1), 1e300), 0.1)
+        assert p.counters.objective_evals == 52
+
     def test_hoisted_margin_is_bit_identical(self):
         # armijo_backtrack tests t * (beta * slopes) in place of
         # beta * t * slopes.  Scaling by a power of two is exact while every

@@ -249,6 +249,10 @@ class TestConfig:
             ({"problems": ["MOP1"], "solvers": ["descent"], "varsigma": "0.1"}, "varsigma"),
             ({"problems": ["MOP1"], "beta": None}, "beta"),
             ({"problems": ["MOP1"], "thin": "2"}, "thin"),
+            ({"problems": ["MOP1"], "seeds": [0, 0]}, "MOP1__adagrad__seed0__rho0"),
+            ({"problems": ["MOP1", "MOP1"]}, "MOP1__adagrad__seed0__rho0"),
+            ({"problems": ["MOP1"], "noise": [0, 0.0]}, "MOP1__adagrad__seed0__rho0"),
+            ({"problems": ["MOP1"], "solvers": ["descent"] * 2}, "MOP1__descent__seed0__rho0"),
         ],
     )
     def test_invalid_configs_name_the_field(self, cfg, field):

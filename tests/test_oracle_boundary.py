@@ -7,6 +7,7 @@ names (a tracer patches them), public calls after any kind of run keep
 every check, and no start point in the float range lets an error escape.
 """
 
+import threading
 import warnings
 from collections import Counter
 
@@ -27,7 +28,7 @@ from mograd import (
     wrap_noisy,
 )
 from mograd import harness
-from mograd.problems import NoisyProblem
+from mograd.problems import NoisyProblem, _in_run, run_scope
 
 DRIVERS = [run_adagrad, run_descent]
 
@@ -131,6 +132,48 @@ class TestPublicChecksAfterARun:
         with pytest.raises(InputError, match="shape"):
             run(p, x0=np.zeros(3))
         assert p.counters.gradient_evals == 0
+
+
+class TestRunScope:
+    @pytest.mark.parametrize(
+        "run, config", [(run_adagrad, AdagradConfig), (run_descent, DescentConfig)]
+    )
+    def test_another_thread_keeps_its_point_check(self, run, config):
+        # A public call from another thread while a run is in its scope is
+        # checked: InputError, not an overflow error from an unchecked NaN.
+        errors = []
+
+        def call_from_another_thread():
+            try:
+                p.evaluate(np.array([np.nan, 0.0]))
+            except Exception as exc:
+                errors.append(exc)
+
+        def jacobian(x):
+            if not errors:
+                thread = threading.Thread(target=call_from_another_thread)
+                thread.start()
+                thread.join()
+            return np.diag(x)
+
+        p = MultiObjectiveProblem("DIAG", 2, 2, [1.0, 1.0], lambda x: 0.5 * x * x, jacobian)
+        rec = run(p, config=config(gradient_budget=3))
+        assert rec.gradient_evals == 3
+        assert [type(e) for e in errors] == [InputError]
+        assert "non-finite" in str(errors[0])
+
+    def test_nests_and_resets_after_an_exception(self):
+        before = np.geterr()
+        with pytest.raises(ZeroDivisionError):
+            with run_scope():
+                with run_scope():
+                    assert _in_run()
+                assert _in_run()
+                assert np.geterr()["over"] == "ignore"
+                1 / 0
+        assert not _in_run()
+        assert np.geterr() == before
+        _assert_public_checks(quadratic_pair())
 
 
 def _linear(G):
