@@ -39,23 +39,28 @@ class DescentConfig(SolverConfig):
 def armijo_backtrack(problem, x, g_s, grads, beta):
     """Halve t from 1 until every objective meets the Armijo decrease.
 
-    Returns ``(t, objective_evals_used)``.  The reference values f(x) cost
+    Returns ``(t, objective_evals_used, point)``, where ``point`` is the
+    accepted candidate ``x - t * g_s``.  The reference values f(x) cost
     one objective evaluation and each tested t costs one more (a single
     m-vector oracle call per candidate).  Raises
     :class:`LineSearchError` once t would fall below ``MIN_STEP``, and
     :class:`EvaluationOverflowError` if the first candidate ``x - g_s`` is
     non-finite; every later candidate lies between ``x`` and that point.
-    A public call checks ``x`` and runs in a ``run_scope`` of its own.
+    A public call checks ``x`` and ``g_s``, a finite nonzero direction,
+    and runs in a ``run_scope`` of its own.
     """
     if not _in_run():
         with run_scope():
-            return armijo_backtrack(problem, _check_x(problem, x), g_s, grads, beta)
-    g_s = np.asarray(g_s, dtype=float)
-    if not np.isfinite(g_s).all() or not g_s.any():
-        raise InputError("line search requires a finite nonzero direction")
+            x = _check_x(problem, x)
+            g_s = np.asarray(g_s, dtype=float)
+            if not np.isfinite(g_s).all() or not g_s.any():
+                raise InputError("line search requires a finite nonzero direction")
+            return armijo_backtrack(problem, x, g_s, np.asarray(grads, dtype=float), beta)
+    # In a run, the driver searches only along a finite direction with
+    # omega above tol^2, so g_s is finite and nonzero.
     # t is a power of two, so t * (beta * slopes) is beta * t * slopes bit
     # for bit unless a product is subnormal.
-    margin = beta * np.asarray(grads, dtype=float).dot(g_s)
+    margin = beta * grads.dot(g_s)
     fx = problem.evaluate(x)
     point = x - g_s
     if not _finite(point):
@@ -68,7 +73,7 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
         candidate = problem.evaluate(point)
         used += 1
         if (candidate <= fx - t * margin).all():
-            return t, used
+            return t, used, point
         t *= 0.5
         if t < MIN_STEP:
             raise LineSearchError(f"backtracking fell below min_step={MIN_STEP:.3e}")
@@ -86,7 +91,9 @@ def run_descent(problem, x0=None, config=None, *, seed=None):
     def step(x, G, sol, critical):
         if critical:
             return math.nan, x
-        t, _ = armijo_backtrack(problem, x, sol.gradient, G, config.beta)
-        return t, x - t * sol.gradient
+        # The accepted candidate itself is the next iterate, so the next
+        # line search's f(x) is the run scope's stored value.
+        t, _, point = armijo_backtrack(problem, x, sol.gradient, G, config.beta)
+        return t, point
 
     return _drive(problem, x0, config, seed, "descent", step)

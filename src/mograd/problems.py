@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -74,24 +73,41 @@ def _overflow(name, values, x):
     )
 
 
-_RUN = ContextVar("mograd_run", default=False)
-_in_run = _RUN.get
+_RUN = ContextVar("mograd_run", default=None)
+_in_run = _RUN.get  # the active run_scope, or None outside any run
 
 
-@contextmanager
-def run_scope():
+class run_scope:
     """The scope of a solver run, in which oracle calls skip their point check.
 
     One ``np.errstate(all="ignore")`` covers it.  Other threads keep their
     checks, but a public oracle call made inside a run on the run's thread
     (a user oracle that calls another problem) is in the scope.  Scopes nest.
+
+    The scope is also a one-slot memo of the last objective value computed
+    in it: ``owner``, ``x`` and ``y``.  An ``evaluate`` of that same point
+    object (``is``, not ``==``) by that same problem returns ``y`` without
+    calling the user objective, and still counts.  The memo goes with the
+    scope: a public call outside a run runs in a scope of its own, so it
+    never sees a value stored by another call.  Within a run, neither a
+    point nor a returned value may be changed in place; the drivers never
+    do either.
     """
-    token = _RUN.set(True)
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _RUN.reset(token)
+
+    __slots__ = ("owner", "x", "y", "_token", "_errstate")
+
+    def __init__(self):
+        self.owner = self.x = self.y = None
+
+    def __enter__(self):
+        self._token = _RUN.set(self)
+        self._errstate = np.errstate(all="ignore")
+        self._errstate.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._errstate.__exit__(*exc_info)
+        _RUN.reset(self._token)
 
 
 def _check_x(problem, x):
@@ -165,12 +181,19 @@ class MultiObjectiveProblem:
 
         A public call checks ``x`` and raises :class:`InputError` for a
         wrong shape or a non-finite entry.  Inside a solver run the point
-        is not checked again (see :func:`run_scope`).
+        is not checked again, and a call at the very array whose value the
+        run computed last, by this same problem, returns the stored value
+        (see :class:`run_scope`).
         """
+        scope = _in_run()
+        if scope.x is x and scope.owner is self:
+            self.counters.objective_evals += 1
+            return scope.y
         y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
         self.counters.objective_evals += 1
         if not _finite(y):
             raise _overflow(self.name, y, x)
+        scope.owner, scope.x, scope.y = self, x, y
         return y
 
     @_oracle

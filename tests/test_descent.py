@@ -44,7 +44,7 @@ class TestArmijo:
         x = np.array([1.0, 0.0])
         grads = p.jacobian(x)
         g_s = x.copy()
-        t, used = armijo_backtrack(p, x, g_s, grads, beta=0.1)
+        t, used, _ = armijo_backtrack(p, x, g_s, grads, beta=0.1)
         assert t == 1.0
         # One reference evaluation plus one accepted candidate.
         assert used == 2
@@ -62,7 +62,7 @@ class TestArmijo:
         grads = p.jacobian(x)
         g_s = np.array([200.0])
         before = p.counters.objective_evals
-        t, used = armijo_backtrack(p, x, g_s, grads, beta=0.1)
+        t, used, _ = armijo_backtrack(p, x, g_s, grads, beta=0.1)
         # Reference eval, one eval per rejected step, one for the accepted step.
         assert used == 2 + round(-math.log2(t))
         assert p.counters.objective_evals - before == used
@@ -73,7 +73,7 @@ class TestArmijo:
         x = np.asarray(p.standard_start, dtype=float)
         grads = p.jacobian(x)
         sol = solve_direction(grads)
-        t, _ = armijo_backtrack(p, x, sol.gradient, grads, beta=0.1)
+        t, _, _ = armijo_backtrack(p, x, sol.gradient, grads, beta=0.1)
         fx = p.evaluate(x)
         slopes = grads @ sol.gradient
 
@@ -172,7 +172,7 @@ class TestArmijo:
             while True:
                 used += 1
                 if np.all(p.evaluate(x - t * g_s) <= fx - beta * t * slopes):
-                    return t, used
+                    return t, used, x - t * g_s
                 t *= 0.5
                 assert t >= MIN_STEP  # no catalog start stalls
 
@@ -183,8 +183,10 @@ class TestArmijo:
             if not g_s.any():
                 x = random_start(p, 0)
             grads = p.jacobian(x)
-            t, used = search(p, x, solve_direction(grads).gradient, grads, 0.1)
+            g_s = solve_direction(grads).gradient
+            t, used, point = search(p, x, g_s, grads, 0.1)
             assert used == p.counters.objective_evals
+            assert point.tobytes() == (x - t * g_s).tobytes()
             return t, used
 
         assert outcome(armijo_backtrack) == outcome(textbook)

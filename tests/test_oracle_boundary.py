@@ -5,6 +5,7 @@ the oracles skip their per-call point check.  These tests pin down what
 that must not change: drivers call the public ``evaluate``/``jacobian``
 names (a tracer patches them), public calls after any kind of run keep
 every check, and no start point in the float range lets an error escape.
+The run scope's objective memo must change no record and no count.
 """
 
 import threading
@@ -22,12 +23,14 @@ from mograd import (
     MultiObjectiveProblem,
     NoiseSpec,
     RunStatus,
+    get_problem,
     quadratic_pair,
+    random_start,
     run_adagrad,
     run_descent,
     wrap_noisy,
 )
-from mograd import harness
+from mograd import descent, harness
 from mograd.problems import NoisyProblem, _in_run, run_scope
 
 DRIVERS = [run_adagrad, run_descent]
@@ -174,6 +177,119 @@ class TestRunScope:
         assert not _in_run()
         assert np.geterr() == before
         _assert_public_checks(quadratic_pair())
+
+
+def _counting(problem, calls):
+    """``problem`` rebuilt with an objective that appends to ``calls`` per call."""
+    def objectives(x):
+        calls.append(1)
+        return problem._objectives(x)
+
+    return MultiObjectiveProblem(
+        problem.name, problem.n, problem.m, problem.standard_start, objectives, problem._jacobian
+    )
+
+
+class _FreshPoints:
+    """A view that hands its base a copy of every point, so no call finds the memo."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name, self.n, self.m = base.name, base.n, base.m
+        self.standard_start = base.standard_start
+        self.noise_rho = base.noise_rho
+        self.counters = base.counters
+
+    def evaluate(self, x):
+        return self.base.evaluate(x.copy())
+
+    def jacobian(self, x):
+        return self.base.jacobian(x.copy())
+
+
+def _fingerprint(rec):
+    return (
+        rec.status, rec.gradient_evals, rec.objective_evals, rec.failure_reason,
+        rec.final_x.tobytes(), rec.trajectory.omega.tobytes(), rec.trajectory.scale.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.05])
+@pytest.mark.parametrize("name", ["ROSENBR-CUBE", "ZANGWIL2-ROSENBR"])
+class TestObjectiveMemo:
+    """A run's scope remembers the last objective value; the counts do not change."""
+
+    config = DescentConfig(gradient_budget=300)
+
+    def test_user_objective_skips_each_known_reference_value(self, monkeypatch, name, rho):
+        # Each line search after the first starts at the point the one
+        # before it accepted, whose value the scope holds.
+        searches = []
+        search = descent.armijo_backtrack
+
+        def counted(*args):
+            searches.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(descent, "armijo_backtrack", counted)
+        calls = []
+        p = wrap_noisy(_counting(get_problem(name), calls), NoiseSpec(rho, seed=1))
+        rec = run_descent(p, x0=random_start(p, 1), config=self.config)
+        assert len(searches) > 1
+        assert len(calls) == rec.objective_evals - (len(searches) - 1)
+
+    def test_run_matches_a_base_that_never_finds_its_point(self, name, rho):
+        def run(view):
+            calls = []
+            p = wrap_noisy(view(_counting(get_problem(name), calls)), NoiseSpec(rho, seed=1))
+            return run_descent(p, x0=random_start(p, 1), config=self.config), len(calls)
+
+        memo, memo_calls = run(lambda p: p)
+        fresh, fresh_calls = run(_FreshPoints)
+        assert fresh_calls == fresh.objective_evals > memo_calls
+        assert _fingerprint(memo) == _fingerprint(fresh)
+
+
+def test_public_call_sees_an_in_place_change():
+    calls = []
+    p = _counting(quadratic_pair(), calls)
+    x = np.array([0.5, 0.0])
+    before = p.evaluate(x)
+    x[0] = 2.0
+    after = p.evaluate(x)
+    assert len(calls) == 2
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, p.evaluate(np.array([2.0, 0.0])))
+
+
+def test_another_problem_at_the_same_point_gets_its_own_value():
+    # Both outer oracles ask a second problem for its value at the very
+    # array the run evaluates.  The jacobian's call comes while the scope
+    # holds the outer value at that array, and the line search's f(x)
+    # then comes while it holds the inner one.
+    def run(view):
+        inner = MultiObjectiveProblem("NEG", 2, 2, [0.0, 0.0], lambda x: -x, lambda x: -np.eye(2))
+        wrong = []
+
+        def ask_inner(x):
+            if not np.array_equal(inner.evaluate(x), -x):
+                wrong.append(x.copy())
+
+        def objectives(x):
+            ask_inner(x)
+            return 0.5 * x * x
+
+        def jacobian(x):
+            ask_inner(x)
+            return np.diag(x)
+
+        outer = MultiObjectiveProblem("DIAG", 2, 2, [1.0, 2.0], objectives, jacobian)
+        rec = run_descent(view(outer), config=DescentConfig(gradient_budget=20))
+        assert rec.objective_evals > 2
+        assert wrong == []
+        return _fingerprint(rec)
+
+    assert run(lambda p: p) == run(_FreshPoints)
 
 
 def _linear(G):
