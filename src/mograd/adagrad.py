@@ -24,10 +24,16 @@ from .problems import (
     _check_x,
     _finite,
     _in_run,
+    _is_int,
+    _is_number,
     run_scope,
 )
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
 from .subproblem import _check_tol, solve_direction
+
+
+# The test a config field's value passes, by the field's annotation.
+_FIELD_TYPES = {"int": (_is_int, "an int"), "float": (_is_number, "a real number")}
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,9 @@ class SolverConfig:
 
     The run stops once the combined gradient norm drops to
     criticality_tol, the gradient budget is exhausted, or an evaluation
-    fails; the trajectory keeps every thin-th iterate.
+    fails; the trajectory keeps every thin-th iterate.  A field whose value
+    is not of its annotated type (an int, not a bool; a real number) raises
+    :class:`InputError` naming it, before any range check.
     """
 
     criticality_tol: float = 1e-6
@@ -45,6 +53,14 @@ class SolverConfig:
     thin: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_type, kind = _FIELD_TYPES[f.type]
+            if not is_type(value):
+                raise InputError(f"{f.name} must be {kind}, got {value!r}")
+        self._check_ranges()
+
+    def _check_ranges(self):
         if not self.criticality_tol > 0:
             raise InputError(
                 f"criticality_tol must be > 0, got {self.criticality_tol}"
@@ -71,10 +87,10 @@ class AdagradConfig(SolverConfig):
 
     varsigma: float = 1e-2
 
-    def __post_init__(self):
+    def _check_ranges(self):
         if not 0.0 < self.varsigma < 1.0:
             raise InputError(f"varsigma must be in (0, 1), got {self.varsigma}")
-        super().__post_init__()
+        super()._check_ranges()
 
 
 def adagrad_step(x, w, g_s):

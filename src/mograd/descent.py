@@ -30,10 +30,10 @@ class DescentConfig(SolverConfig):
 
     beta: float = 0.1
 
-    def __post_init__(self):
+    def _check_ranges(self):
         if not 0.0 < self.beta < 1.0:
             raise InputError(f"beta must be in (0, 1), got {self.beta}")
-        super().__post_init__()
+        super()._check_ranges()
 
 
 def armijo_backtrack(problem, x, g_s, grads, beta):

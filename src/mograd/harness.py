@@ -20,7 +20,7 @@ import numpy as np
 from . import multitask
 from .adagrad import AdagradConfig, SolverConfig, run_adagrad
 from .descent import DescentConfig, run_descent
-from .problems import InputError, NoiseSpec, wrap_noisy
+from .problems import InputError, NoiseSpec, _is_int, _is_number, wrap_noisy
 from .records import TRAJECTORY_COLUMNS, RunStatus
 from .suite import CATALOG, get_problem, random_start
 
@@ -186,8 +186,8 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     ``criticality_tol``, ``varsigma``, ``beta``, ``thin``), with the same
     defaults.  Benchmark problems start uniformly in their box (seeded);
     all other instances use their standard start.  The same seed also
-    seeds the noise stream when rho != 0; a negative or non-finite rho
-    raises :class:`InputError`.
+    seeds the noise stream when rho != 0; a rho that is not a finite
+    number >= 0 (a bool is not a number) raises :class:`InputError`.
     """
     if problem_name not in CATALOG:
         raise ConfigError(f"unknown problem {problem_name!r}")
@@ -195,8 +195,9 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     x0 = None
     if CATALOG[problem_name].origin == "benchmark":
         x0 = random_start(problem, seed)
-    if rho != 0:
-        problem = wrap_noisy(problem, NoiseSpec(rho=rho, seed=seed))
+    spec = NoiseSpec(rho=rho, seed=seed)
+    if spec.rho != 0:
+        problem = wrap_noisy(problem, spec)
     return _run_solver(solver, problem, x0, seed, **params)
 
 
@@ -263,14 +264,6 @@ def load_config(source):
             raise ConfigError(f"config repeats the cell {_stem(*cell)}")
         cells.add(cell)
     return merged
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def run_experiment(config):
@@ -389,7 +382,13 @@ def run_multitask(kind, solver, iters=1000, seed=0, N=10_000):
 
 def _stem(problem, solver, seed, noise_rho):
     """File stem of one run's trajectory CSV."""
-    return f"{problem}__{solver}__seed{seed}__rho{noise_rho:g}"
+    return f"{problem}__{solver}__seed{seed}__rho{_rho_text(noise_rho)}"
+
+
+def _rho_text(rho):
+    """``rho`` written with ``:g`` if that reads back as ``rho``, else its repr."""
+    text = f"{rho:g}"
+    return text if float(text) == rho else repr(float(rho))
 
 
 def export(records, format, path):
@@ -419,7 +418,7 @@ def export(records, format, path):
                 fh.write("\n".join([trajectory_header, *rows]) + "\n")
             index_rows.append(
                 f"{stem}.csv,{r.problem},{r.solver},{r.seed},"
-                f"{r.noise_rho:g},{r.status.value},{budget_cost(r)!r}"
+                f"{_rho_text(r.noise_rho)},{r.status.value},{budget_cost(r)!r}"
             )
         header = "file,problem,solver,seed,noise_rho,status,cost"
         with open(os.path.join(path, "index.csv"), "w") as fh:

@@ -45,6 +45,16 @@ class LineSearchError(RuntimeError):
     """Backtracking reached the minimum step size without acceptance."""
 
 
+def _is_int(value):
+    """True for an int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """True for a real number: an int as in :func:`_is_int`, or a float."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 def _finite(a):
     """True if every entry of the array ``a`` is finite.
 
@@ -229,8 +239,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho >= 0):
-            raise InputError(f"noise level must be finite and >= 0, got {self.rho}")
+        if not (_is_number(self.rho) and np.isfinite(self.rho) and self.rho >= 0):
+            raise InputError(
+                f"noise level must be a finite number >= 0, got {self.rho!r}"
+            )
 
 
 class NoisyProblem:
@@ -242,7 +254,6 @@ class NoisyProblem:
 
     def __init__(self, base, spec):
         self._base = base
-        self.spec = spec
         self._rng = np.random.default_rng(spec.seed)
         self.name = base.name
         self.n = base.n
@@ -253,17 +264,11 @@ class NoisyProblem:
 
     @_oracle
     def evaluate(self, x):
-        y = self._base.evaluate(x)
-        if self.spec.rho == 0.0:
-            return y
-        return self._corrupt(y, x)
+        return self._corrupt(self._base.evaluate(x), x)
 
     @_oracle
     def jacobian(self, x):
-        G = self._base.jacobian(x)
-        if self.spec.rho == 0.0:
-            return G
-        return self._corrupt(G, x)
+        return self._corrupt(self._base.jacobian(x), x)
 
     def _corrupt(self, values, x):
         """``values * (1 + rho*xi)``, which must stay finite like the base's.
@@ -274,7 +279,7 @@ class NoisyProblem:
         called in a run scope, whose ``np.errstate`` covers the overflow.
         """
         xi = self._rng.standard_normal(values.shape)
-        noisy = values * (1.0 + self.spec.rho * xi)
+        noisy = values * (1.0 + self.noise_rho * xi)
         if not _finite(noisy):
             raise _overflow(self.name, noisy, x)
         return noisy
@@ -283,7 +288,8 @@ class NoisyProblem:
 def wrap_noisy(problem, spec):
     """Wrap ``problem`` so every oracle output is corrupted per ``spec``.
 
-    With ``spec.rho == 0`` outputs are bit-identical to the base problem.
-    Evaluation counters delegate to the wrapped problem.
+    With ``spec.rho == 0`` outputs are bit-identical to the base problem's,
+    by arithmetic: each factor ``1 + 0*xi`` is exactly 1 (the noise is still
+    drawn).  Evaluation counters delegate to the wrapped problem.
     """
     return NoisyProblem(problem, spec)

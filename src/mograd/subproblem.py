@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problems import ConvergenceError, InputError
+from .problems import ConvergenceError, InputError, _is_number
 
 
 class UnsupportedSizeError(InputError):
@@ -84,7 +84,7 @@ def _check_matrix(G):
 
 def _check_tol(tol, name="tol"):
     """Raise :class:`InputError` unless ``tol`` is a finite number > 0."""
-    if not (np.isscalar(tol) and np.isfinite(tol) and tol > 0):
+    if not (_is_number(tol) and np.isfinite(tol) and tol > 0):
         raise InputError(f"{name} must be a positive number, got {tol}")
 
 
@@ -275,24 +275,15 @@ def solve_direction(G, tol=1e-10):
 
 
 def _simplex_grid(m, resolution):
-    """All weight vectors with entries k/resolution summing to 1, shape (N, m)."""
+    """All weight vectors with entries k/resolution summing to 1, shape (N, m).
+
+    Rows are in lexicographic order of their first m - 1 counts, and every
+    entry is an exact count divided by the resolution.
+    """
     K = resolution
-    if m == 1:
-        return np.ones((1, 1))
-    if m == 2:
-        k = np.arange(K + 1)
-        return np.column_stack([k, K - k]) / K
-    if m == 3:
-        i, j = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-        keep = i + j <= K
-        i, j = i[keep], j[keep]
-        return np.column_stack([i, j, K - i - j]) / K
-    # m == 4: chunk over the first coordinate to bound memory.
-    blocks = []
-    for i in range(K + 1):
-        inner = _simplex_grid(3, K - i) * ((K - i) / K) if K - i > 0 else np.zeros((1, 3))
-        blocks.append(np.column_stack([np.full(len(inner), i / K), inner]))
-    return np.vstack(blocks)
+    counts = np.indices((K + 1,) * (m - 1)).reshape(m - 1, (K + 1) ** (m - 1))
+    counts = counts[:, counts.sum(axis=0) <= K]
+    return np.vstack([counts, K - counts.sum(axis=0)]).T / K
 
 
 # Simplex grids by (m, resolution), one weight vector per column: (m, N).

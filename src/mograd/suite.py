@@ -359,27 +359,23 @@ class CatalogEntry:
     build: callable = field(repr=False, compare=False)  # () -> a fresh problem
 
 
+def _entry(origin, build):
+    """The catalog entry of ``build``, named and sized by the problem it builds."""
+    p = build()
+    return CatalogEntry(p.name, p.n, p.m, origin, build)
+
+
 def _catalog():
     entries = [
-        CatalogEntry(name, 2, 2, "benchmark", functools.partial(get_benchmark, name))
+        _entry("benchmark", functools.partial(get_benchmark, name))
         for name in _BENCHMARKS
     ]
     entries += [
-        CatalogEntry(
-            f"{p.name}-L2", p.n, 2, "regularized", functools.partial(make_regularized, p)
-        )
+        _entry("regularized", functools.partial(make_regularized, p))
         for p in SCALAR_PROBLEMS.values()
     ]
-    entries += [
-        CatalogEntry(
-            f"{a}-{b}",
-            SCALAR_PROBLEMS[a].n,
-            2,
-            "paired",
-            functools.partial(make_pair, SCALAR_PROBLEMS[a], SCALAR_PROBLEMS[b]),
-        )
-        for a, b in PAIR_NAMES
-    ]
+    pairs = [(SCALAR_PROBLEMS[a], SCALAR_PROBLEMS[b]) for a, b in PAIR_NAMES]
+    entries += [_entry("paired", functools.partial(make_pair, *pair)) for pair in pairs]
     return {e.name: e for e in entries}
 
 

@@ -5,6 +5,8 @@ classes and set the driver, its config class and what differs between
 the two step rules, so each check runs once per driver.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -43,6 +45,34 @@ class ConfigContract:
     def test_thin_at_least_one(self, bad):
         with pytest.raises(InputError, match="thin must be >= 1"):
             self.config(thin=bad)
+
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            ("an int", 2.5),
+            ("an int", True),
+            ("an int", "10"),
+            ("a real number", "1e-6"),
+            ("a real number", True),
+            ("a real number", None),
+        ],
+    )
+    def test_mistyped_field_named(self, kind, bad):
+        ints = {"gradient_budget", "thin"}
+        names = ints if kind == "an int" else self.echo_keys - ints
+        for name in sorted(names):
+            with pytest.raises(InputError, match=re.escape(f"{name} must be {kind}")):
+                self.config(**{name: bad})
+
+    def test_type_checked_before_range(self):
+        with pytest.raises(InputError, match="gradient_budget must be an int"):
+            self.config(criticality_tol=-1.0, gradient_budget=2.5)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = self.config(
+            criticality_tol=np.float32(1e-6), gradient_budget=np.int64(5), thin=np.int64(2)
+        )
+        assert cfg.gradient_budget == 5
 
     def test_echo_keys(self):
         cfg = self.config()

@@ -150,10 +150,22 @@ class TestRunCell:
         with pytest.raises(ConfigError):
             run_cell("NOPE", "adagrad")
 
-    @pytest.mark.parametrize("rho", [-0.5, math.nan])
+    @pytest.mark.parametrize("rho", [-0.5, math.nan, True, False, "0.05"])
     def test_bad_noise_level_rejected(self, rho):
         with pytest.raises(InputError, match="noise level"):
             run_cell("MOP1", "adagrad", rho=rho, budget=50)
+
+    @pytest.mark.parametrize(
+        "param, bad, field",
+        [
+            ("budget", 2.5, "gradient_budget"),
+            ("thin", 1.5, "thin"),
+            ("criticality_tol", "1e-6", "criticality_tol"),
+        ],
+    )
+    def test_mistyped_parameter_named(self, param, bad, field):
+        with pytest.raises(InputError, match=field):
+            run_cell("MOP1", "adagrad", **{param: bad})
 
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
@@ -435,19 +447,26 @@ class TestExport:
         assert not path.exists()
 
     def test_colliding_stems_rejected_before_any_file(self, tmp_path):
-        records = run_experiment(
-            {
-                "problems": ["MOP1"],
-                "solvers": ["adagrad"],
-                "noise": [0.05, 0.05000001],
-                "budget": 50,
-            }
-        )
+        # One cell run at two budgets that both bind: two records, one stem.
+        records = [run_cell("MOP1", "adagrad", rho=0.05, budget=b) for b in (5, 6)]
         assert not np.array_equal(records[0].trajectory.omega, records[1].trajectory.omega)
         out = tmp_path / "runs"
         with pytest.raises(InputError, match="MOP1__adagrad__seed0__rho0.05"):
             export(records, "csv", out)
         assert not out.exists()
+
+    def test_close_noise_levels_export_apart(self, tmp_path):
+        # 0.05000001 prints as 0.05 under :g, so its stem writes its repr.
+        cfg = {"problems": ["MOP1"], "solvers": ["adagrad"], "budget": 50}
+        records = run_experiment({**cfg, "noise": [0.05, 0.05000001]})
+        assert not np.array_equal(records[0].trajectory.omega, records[1].trajectory.omega)
+        export(records, "csv", tmp_path)
+        rows = [row.split(",") for row in (tmp_path / "index.csv").read_text().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["0.05", "0.05000001"]
+        assert rows[1][0] == "MOP1__adagrad__seed0__rho0.05000001.csv"
+        for r, row in zip(records, rows):
+            omega = load_trajectory_csv(tmp_path / row[0])["omega"]
+            assert np.array_equal(omega, r.trajectory.omega)
 
     def test_readme_lists_the_trajectory_columns(self, tmp_path):
         # The README's column list, read from its bullets, is the header export writes.

@@ -7,11 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mograd import (
+    AdagradConfig,
+    DescentConfig,
     EvaluationOverflowError,
     InputError,
     MultiObjectiveProblem,
     NoiseSpec,
     RunStatus,
+    get_problem,
     make_regularized,
     quadratic_pair,
     run_adagrad,
@@ -234,6 +237,24 @@ class TestNoiseWrapper:
     def test_negative_rho_rejected(self):
         with pytest.raises(InputError):
             NoiseSpec(rho=-0.1)
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.05", None])
+    def test_non_number_rho_rejected(self, bad):
+        with pytest.raises(InputError, match="noise level"):
+            NoiseSpec(rho=bad)
+
+    @pytest.mark.parametrize(
+        "run, config", [(run_adagrad, AdagradConfig), (run_descent, DescentConfig)]
+    )
+    def test_rho_zero_run_equals_base_run(self, run, config):
+        cfg = config(gradient_budget=500)
+        base = run(get_problem("ROSENBR-CUBE"), config=cfg)
+        noisy = run(wrap_noisy(get_problem("ROSENBR-CUBE"), NoiseSpec(0.0, 3)), config=cfg)
+        fields = ("status", "gradient_evals", "objective_evals", "iterations", "failure_reason")
+        assert [getattr(noisy, f) for f in fields] == [getattr(base, f) for f in fields]
+        assert noisy.final_x.tobytes() == base.final_x.tobytes()
+        assert noisy.trajectory.omega.tobytes() == base.trajectory.omega.tobytes()
+        assert noisy.trajectory.scale.tobytes() == base.trajectory.scale.tobytes()
 
     def test_noise_law_statistics(self):
         # Mean of a*(1 + rho*xi) over many draws stays within 4 standard

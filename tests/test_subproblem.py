@@ -457,6 +457,20 @@ class TestBruteForce:
         sol = brute_force_min_norm(G, grid_step=1e-3)
         assert abs(sol.omega - 0.5) <= 1e-5
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_grid_entries_are_exact_counts(self, m):
+        # Each row is m counts k / K summing to K, once each, in lexicographic order.
+        from mograd.subproblem import _simplex_grid
+
+        for K in (1, 7, 10, 50):
+            grid = _simplex_grid(m, K)
+            counts = np.round(grid * K)
+            assert np.array_equal(grid, counts / K)
+            assert (counts.sum(axis=1) == K).all()
+            assert len(grid) == math.comb(K + m - 1, m - 1)
+            rows = [tuple(row) for row in counts]
+            assert rows == sorted(set(rows))
+
     def test_scoring_matches_einsum_formula(self, rng):
         from mograd.subproblem import _simplex_grid
 
