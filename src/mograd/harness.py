@@ -152,7 +152,8 @@ def _rate_report(omega, varsigma, l_max, gamma0):
 def _solver_config(solver, budget, criticality_tol, varsigma, beta, thin):
     """``solver``'s config; ``thin=None`` means max(1, budget // 10 000)."""
     if thin is None:
-        thin = max(1, budget // 10_000)
+        # A budget that is not an int gets its InputError from the config.
+        thin = max(1, budget // 10_000) if _is_int(budget) else 1
     shared = dict(criticality_tol=criticality_tol, gradient_budget=budget, thin=thin)
     if solver == "adagrad":
         return AdagradConfig(varsigma=varsigma, **shared)
@@ -179,6 +180,12 @@ def _run_solver(solver, problem, x0, seed, **params):
     return run(problem, x0, config, seed=seed)
 
 
+def _check_seed(seed):
+    """Raise :class:`InputError` unless ``seed`` is an int >= 0 (not a bool)."""
+    if not (_is_int(seed) and seed >= 0):
+        raise InputError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     """Run one experiment cell: problem x solver x seed x noise level.
 
@@ -187,10 +194,12 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     defaults.  Benchmark problems start uniformly in their box (seeded);
     all other instances use their standard start.  The same seed also
     seeds the noise stream when rho != 0; a rho that is not a finite
-    number >= 0 (a bool is not a number) raises :class:`InputError`.
+    number >= 0 (a bool is not a number), or a seed that is not an int
+    >= 0, raises :class:`InputError`.
     """
     if problem_name not in CATALOG:
         raise ConfigError(f"unknown problem {problem_name!r}")
+    _check_seed(seed)
     problem = get_problem(problem_name)
     x0 = None
     if CATALOG[problem_name].origin == "benchmark":
@@ -251,8 +260,13 @@ def load_config(source):
         except InputError as exc:
             raise ConfigError(f"config for solver {solver!r}: {exc}") from exc
     seeds = merged["seeds"]
-    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
+    if not isinstance(seeds, list):
         raise ConfigError("config field 'seeds': must be a list of ints")
+    for seed in seeds:
+        try:
+            _check_seed(seed)
+        except InputError as exc:
+            raise ConfigError(f"config field 'seeds': {exc}") from exc
     noise = merged["noise"]
     if not isinstance(noise, list) or not all(
         _is_number(rho) and math.isfinite(rho) and rho >= 0 for rho in noise

@@ -24,6 +24,13 @@ reduction (softmax max and sum, picking the labelled class) runs along
 the long sample axis, and no call copies the split out of the features.
 A changed dataset is a new one (``dataclasses.replace``), with no blocks;
 writing into its arrays in place is not detected.
+
+Inside a solver run (a :class:`~mograd.problems.run_scope`), a point's
+value and gradient share one forward pass, the logits and the softmax or
+sigmoid of both tasks: whichever of :func:`losses` and
+:func:`loss_gradients` comes first at a ``params`` array computes it, and
+the other reads it from the scope.  A public call, outside any run,
+always computes its own.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import InputError, MultiObjectiveProblem
+from .problems import InputError, MultiObjectiveProblem, _in_run
 
 KINDS = ("quadrants", "diagonals")
 
@@ -208,47 +215,76 @@ def _mean_nll(q):
 def _binary_ce(p, y):
     """Mean binary cross-entropy of probabilities p for 0/1 targets y.
 
-    Overwrites p.  For y in {0, 1}, y*log(p) + (1-y)*log(1-p) is exactly
-    the log of |p - (1 - y)|, the probability given to the target.
+    Leaves p unchanged.  For y in {0, 1}, y*log(p) + (1-y)*log(1-p) is
+    exactly the log of |p - (1 - y)|, the probability given to the target.
     """
-    np.clip(p, _CLIP, 1.0 - _CLIP, out=p)
-    p -= 1.0 - y
-    return _mean_nll(np.abs(p, out=p))
+    q = np.clip(p, _CLIP, 1.0 - _CLIP)
+    q -= 1.0 - y
+    return _mean_nll(np.abs(q, out=q))
+
+
+def _forward(kind, XT, w1, w2):
+    """Class-major probabilities of both tasks at the features ``XT``.
+
+    Task 1 gets the (4, N) softmax (quadrants) or an N-vector sigmoid,
+    task 2 an N-vector sigmoid.
+    """
+    p1 = _softmax(w1.T @ XT) if kind == "quadrants" else _sigmoid(w1 @ XT)
+    return p1, _sigmoid(w2 @ XT)
+
+
+def _probabilities(dataset, split, params):
+    """The split's block and the forward pass at ``params``, shared in a run.
+
+    Inside a :class:`~mograd.problems.run_scope`, the scope keeps the last
+    forward pass, keyed on the block and the ``params`` object (``is``, not
+    ``==``), so that :func:`losses` and :func:`loss_gradients` at one point
+    compute it once.  Outside a run every call computes its own.  Neither
+    consumer writes into the probabilities.
+    """
+    block = _split_block(dataset, split)
+    scope = _in_run()
+    if scope is not None and scope.shared_x is params and scope.shared_key is block:
+        return block, scope.shared
+    probs = _forward(dataset.kind, block.XT, *split_params(dataset, params))
+    if scope is not None:
+        scope.shared_key, scope.shared_x, scope.shared = block, params, probs
+    return block, probs
 
 
 def losses(dataset, split, params):
     """Mean cross-entropies (J1, J2) of the two tasks on one split."""
-    block = _split_block(dataset, split)
-    w1, w2 = split_params(dataset, params)
+    block, (p1, p2) = _probabilities(dataset, split, params)
     if dataset.kind == "quadrants":
-        probs = _softmax(w1.T @ block.XT)
-        probs *= block.target1
-        picked = probs.sum(axis=0)
+        # The labelled class's probability, summed over the classes row by
+        # row as sum(axis=0) would, without a (4, N) product in memory.
+        t = block.target1
+        picked = p1[0] * t[0]
+        for k in range(1, 4):
+            picked += p1[k] * t[k]
         j1 = _mean_nll(np.clip(picked, _CLIP, 1.0 - _CLIP, out=picked))
     else:
-        j1 = _binary_ce(_sigmoid(w1 @ block.XT), block.target1)
-    j2 = _binary_ce(_sigmoid(w2 @ block.XT), block.target2)
-    return j1, j2
+        j1 = _binary_ce(p1, block.target1)
+    return j1, _binary_ce(p2, block.target2)
 
 
 def loss_gradients(dataset, split, params):
     """Analytic gradient rows, shape (2, P); cross-task blocks are zero."""
-    block = _split_block(dataset, split)
+    block, (p1, p2) = _probabilities(dataset, split, params)
     XT = block.XT
     d, N = XT.shape
-    w1, w2 = split_params(dataset, params)
     out = np.zeros((2, dataset.n_params))
+    out[1, dataset.n_params - d :] = XT @ (p2 - block.target2) / N
+    # Freed before the task-1 residual is allocated.  Outside a run nothing
+    # else holds p2, and a call that peaks above about two (4, N) arrays
+    # makes the C allocator hand the heap back after every call, which the
+    # next call then page-faults in again.
+    del p2
+    r = p1 - block.target1
     if dataset.kind == "quadrants":
-        r = _softmax(w1.T @ XT)
-        r -= block.target1
         out[0, : d * 4] = (XT @ r.T).ravel() / N
     else:
-        r = _sigmoid(w1 @ XT)
-        r -= block.target1
         out[0, :d] = XT @ r / N
-    r = _sigmoid(w2 @ XT)
-    r -= block.target2
-    out[1, dataset.n_params - d :] = XT @ r / N
     return out
 
 

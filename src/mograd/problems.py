@@ -102,12 +102,19 @@ class run_scope:
     never sees a value stored by another call.  Within a run, neither a
     point nor a returned value may be changed in place; the drivers never
     do either.
+
+    A second one-slot memo, ``shared_key``, ``shared_x`` and ``shared``,
+    holds work that two oracles at one point have in common, for an oracle
+    that opts in: the multitask oracles keep their forward pass there
+    (:func:`mograd.multitask._probabilities`).  The catalog oracles do not
+    use it.
     """
 
-    __slots__ = ("owner", "x", "y", "_token", "_errstate")
+    __slots__ = ("owner", "x", "y", "shared_key", "shared_x", "shared", "_token", "_errstate")
 
     def __init__(self):
         self.owner = self.x = self.y = None
+        self.shared_key = self.shared_x = self.shared = None
 
     def __enter__(self):
         self._token = _RUN.set(self)

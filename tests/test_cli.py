@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import src_env
-from mograd import multitask
+from mograd import harness, multitask
 from mograd.cli import main
 
 
@@ -85,6 +85,16 @@ class TestSolve:
         assert "noise level" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        code = main(
+            ["solve", "--problem", "Lovison3", "--solver", "adagrad", "--seed", "-1",
+             "--budget", "50", "--out", str(out)]
+        )
+        assert code == 2
+        assert "seed must be an int >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProfile:
     def test_pipeline(self, tmp_path, capsys):
@@ -122,6 +132,16 @@ class TestProfile:
         cfg.write_text(json.dumps({"problems": ["MOP1"], **fields}))
         assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{next(iter(fields))}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "run_cell", lambda *a, **k: cells.append(a))
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"problems": ["MOP1"], "seeds": [0, -1]}))
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'seeds'" in capsys.readouterr().err
+        assert cells == []
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):

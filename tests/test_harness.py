@@ -159,6 +159,7 @@ class TestRunCell:
         "param, bad, field",
         [
             ("budget", 2.5, "gradient_budget"),
+            ("budget", "10", "gradient_budget"),
             ("thin", 1.5, "thin"),
             ("criticality_tol", "1e-6", "criticality_tol"),
         ],
@@ -166,6 +167,17 @@ class TestRunCell:
     def test_mistyped_parameter_named(self, param, bad, field):
         with pytest.raises(InputError, match=field):
             run_cell("MOP1", "adagrad", **{param: bad})
+
+    @pytest.mark.parametrize(
+        "seed, rho", [(True, 0.0), (-1, 0.0), (1.5, 0.05), ("0", 0.0), (None, 0.0)]
+    )
+    def test_bad_seed_rejected_before_the_start(self, monkeypatch, seed, rho):
+        starts = []
+        monkeypatch.setattr(harness, "random_start", lambda *a: starts.append(a))
+        for name in ("ROSENBR-L2", "Lovison3"):
+            with pytest.raises(InputError, match="seed must be an int >= 0"):
+                run_cell(name, "adagrad", seed=seed, rho=rho, budget=50)
+        assert starts == []
 
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
@@ -265,6 +277,8 @@ class TestConfig:
             ({"problems": ["MOP1", "MOP1"]}, "MOP1__adagrad__seed0__rho0"),
             ({"problems": ["MOP1"], "noise": [0, 0.0]}, "MOP1__adagrad__seed0__rho0"),
             ({"problems": ["MOP1"], "solvers": ["descent"] * 2}, "MOP1__descent__seed0__rho0"),
+            ({"problems": ["MOP1"], "seeds": [-1]}, "seeds"),
+            ({"problems": ["MOP1"], "seeds": [0, True]}, "seeds"),
         ],
     )
     def test_invalid_configs_name_the_field(self, cfg, field):

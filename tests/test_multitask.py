@@ -23,7 +23,9 @@ from mograd import (
     split_params,
     to_csv,
 )
+from mograd import multitask
 from mograd.multitask import _CLIP, _features, _sigmoid
+from mograd.problems import run_scope
 
 
 def _toy(kind="quadrants", points=None):
@@ -268,6 +270,82 @@ class TestClassMajorOracle:
         accuracy(ds, "test", theta)
         assert losses(ds, "test", theta) == first[0]
         assert np.array_equal(loss_gradients(ds, "test", theta), first[1])
+
+
+def _count_forward(monkeypatch):
+    """Patch ``multitask._forward`` to append to the returned list per call."""
+    calls = []
+    forward = multitask._forward
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(multitask, "_forward", counted)
+    return calls
+
+
+class TestSharedForwardPass:
+    """In a run scope, losses and loss_gradients at one point share a forward pass."""
+
+    @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("first", [losses, loss_gradients], ids=["losses", "gradients"])
+    def test_in_run_results_equal_public_calls(self, kind, split, first, rng):
+        ds = generate_dataset(kind, N=500, seed=4)
+        theta = rng.normal(scale=3.0, size=ds.n_params)
+        want = {losses: losses(ds, split, theta), loss_gradients: loss_gradients(ds, split, theta)}
+        second = loss_gradients if first is losses else losses
+        with run_scope() as scope:
+            got = {first: first(ds, split, theta)}
+            shared = scope.shared
+            before = [p.copy() for p in shared]
+            got[second] = second(ds, split, theta)
+            assert scope.shared is shared
+        assert got[losses] == want[losses]
+        assert got[loss_gradients].tobytes() == want[loss_gradients].tobytes()
+        for p, copy in zip(shared, before):
+            assert p.tobytes() == copy.tobytes()
+
+    def test_quadrant_loss_sums_the_classes_as_the_product_sum(self, rng):
+        # losses sums the picked probability row by row; the reference sums
+        # the whole (4, N) product along axis 0.  Both must give one float.
+        ds = generate_dataset("quadrants", N=2000, seed=5)
+        block = ds._train_block
+        for scale in (0.1, 1.0, 30.0):
+            theta = rng.normal(scale=scale, size=ds.n_params)
+            p1, _ = multitask._forward(ds.kind, block.XT, *split_params(ds, theta))
+            picked = (p1 * block.target1).sum(axis=0)
+            j1 = -np.mean(np.log(np.clip(picked, _CLIP, 1.0 - _CLIP)))
+            assert losses(ds, "train", theta)[0] == float(j1)
+
+    def test_another_point_or_split_recomputes(self, monkeypatch, rng):
+        ds = generate_dataset("quadrants", N=500, seed=4)
+        theta = rng.normal(size=ds.n_params)
+        calls = _count_forward(monkeypatch)
+        with run_scope():
+            losses(ds, "train", theta)
+            loss_gradients(ds, "train", theta)
+            assert len(calls) == 1
+            g = loss_gradients(ds, "train", theta.copy())
+            assert len(calls) == 2
+            assert g.tobytes() == loss_gradients(ds, "train", theta).tobytes()
+            assert len(calls) == 3
+            losses(ds, "test", theta)
+            assert len(calls) == 4
+
+    def test_public_calls_compute_their_own(self, monkeypatch, rng):
+        ds = generate_dataset("diagonals", N=500, seed=4)
+        theta = rng.normal(size=ds.n_params)
+        calls = _count_forward(monkeypatch)
+        before = losses(ds, "train", theta)
+        loss_gradients(ds, "train", theta)
+        assert len(calls) == 2
+        theta[0] += 1.0
+        after = losses(ds, "train", theta)
+        assert len(calls) == 3
+        assert after != before
+        assert after == losses(ds, "train", theta.copy())
 
 
 class TestAccuracy:

@@ -5,7 +5,8 @@ the oracles skip their per-call point check.  These tests pin down what
 that must not change: drivers call the public ``evaluate``/``jacobian``
 names (a tracer patches them), public calls after any kind of run keep
 every check, and no start point in the float range lets an error escape.
-The run scope's objective memo must change no record and no count.
+The run scope's objective memo, and the forward pass the multitask
+oracles share through it, must change no record and no count.
 """
 
 import threading
@@ -23,6 +24,8 @@ from mograd import (
     MultiObjectiveProblem,
     NoiseSpec,
     RunStatus,
+    as_problem,
+    generate_dataset,
     get_problem,
     quadratic_pair,
     random_start,
@@ -30,7 +33,7 @@ from mograd import (
     run_descent,
     wrap_noisy,
 )
-from mograd import descent, harness
+from mograd import descent, harness, multitask
 from mograd.problems import NoisyProblem, _in_run, run_scope
 
 DRIVERS = [run_adagrad, run_descent]
@@ -290,6 +293,69 @@ def test_another_problem_at_the_same_point_gets_its_own_value():
         return _fingerprint(rec)
 
     assert run(lambda p: p) == run(_FreshPoints)
+
+
+class TestMultitaskForwardPass:
+    """A multitask run computes each point's forward pass once, inside an oracle."""
+
+    def _spy(self, monkeypatch):
+        # Counts forward passes and objective calls, and checks that every
+        # forward pass runs inside multitask.losses or multitask.loss_gradients,
+        # the names a tracer times.
+        calls = Counter()
+        depth = []
+
+        def enter(name):
+            original = getattr(multitask, name)
+
+            def traced(*args):
+                calls[name] += 1
+                depth.append(name)
+                try:
+                    return original(*args)
+                finally:
+                    depth.pop()
+
+            monkeypatch.setattr(multitask, name, traced)
+
+        enter("losses")
+        enter("loss_gradients")
+        forward = multitask._forward
+
+        def counted(*args):
+            assert depth
+            calls["forward"] += 1
+            return forward(*args)
+
+        monkeypatch.setattr(multitask, "_forward", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
+    def test_descent_computes_one_per_objective_call(self, monkeypatch, kind):
+        calls = self._spy(monkeypatch)
+        problem = as_problem(generate_dataset(kind, N=400, seed=2))
+        rec = run_descent(problem, config=DescentConfig(gradient_budget=30))
+        assert rec.gradient_evals == 30
+        assert calls["loss_gradients"] == rec.gradient_evals
+        # The memo answers each line search's f(x_k) after the first.
+        assert calls["losses"] < rec.objective_evals
+        assert calls["forward"] == calls["losses"]
+
+    @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
+    def test_adagrad_computes_one_per_gradient(self, monkeypatch, kind):
+        calls = self._spy(monkeypatch)
+        problem = as_problem(generate_dataset(kind, N=400, seed=2))
+        rec = run_adagrad(problem, config=AdagradConfig(gradient_budget=30))
+        assert calls["forward"] == calls["loss_gradients"] == rec.gradient_evals == 30
+        assert calls["losses"] == 0
+
+    @pytest.mark.parametrize("kind", ["quadrants", "diagonals"])
+    def test_noiseless_wrapper_changes_nothing(self, kind):
+        def run(wrap):
+            problem = wrap(as_problem(generate_dataset(kind, N=400, seed=2)))
+            return _fingerprint(run_descent(problem, config=DescentConfig(gradient_budget=30)))
+
+        assert run(lambda p: wrap_noisy(p, NoiseSpec(0.0))) == run(lambda p: p)
 
 
 def _linear(G):
