@@ -20,7 +20,7 @@ import numpy as np
 from . import multitask
 from .adagrad import AdagradConfig, SolverConfig, run_adagrad
 from .descent import DescentConfig, run_descent
-from .problems import InputError, NoiseSpec, _is_int, _is_number, wrap_noisy
+from .problems import InputError, NoiseSpec, _check_seed, _is_int, wrap_noisy
 from .records import TRAJECTORY_COLUMNS, RunStatus
 from .suite import CATALOG, get_problem, random_start
 
@@ -149,6 +149,12 @@ def _rate_report(omega, varsigma, l_max, gamma0):
     return RateReport(theta, running, bound, bool(np.all(running <= bound)))
 
 
+def _check_problem(name):
+    """Raise :class:`ConfigError` unless ``name`` names a catalog problem."""
+    if not (isinstance(name, str) and name in CATALOG):
+        raise ConfigError(f"unknown problem {name!r}")
+
+
 def _solver_config(solver, budget, criticality_tol, varsigma, beta, thin):
     """``solver``'s config; ``thin=None`` means max(1, budget // 10 000)."""
     if thin is None:
@@ -162,13 +168,13 @@ def _solver_config(solver, budget, criticality_tol, varsigma, beta, thin):
     raise ConfigError(f"unknown solver {solver!r}; valid: {SOLVERS}")
 
 
-# The cell parameters of a config and their defaults, read from the config
-# classes; thin=None derives thin from the budget.
+# The cell parameters and their defaults, read from the config classes (thin=None
+# derives thin from the budget), solver-specific first: load_config checks in order.
 _CELL_DEFAULTS = {
-    "budget": SolverConfig.gradient_budget,
-    "criticality_tol": SolverConfig.criticality_tol,
     "varsigma": AdagradConfig.varsigma,
     "beta": DescentConfig.beta,
+    "budget": SolverConfig.gradient_budget,
+    "criticality_tol": SolverConfig.criticality_tol,
     "thin": None,
 }
 
@@ -180,12 +186,6 @@ def _run_solver(solver, problem, x0, seed, **params):
     return run(problem, x0, config, seed=seed)
 
 
-def _check_seed(seed):
-    """Raise :class:`InputError` unless ``seed`` is an int >= 0 (not a bool)."""
-    if not (_is_int(seed) and seed >= 0):
-        raise InputError(f"seed must be an int >= 0, got {seed!r}")
-
-
 def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     """Run one experiment cell: problem x solver x seed x noise level.
 
@@ -193,18 +193,15 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     ``criticality_tol``, ``varsigma``, ``beta``, ``thin``), with the same
     defaults.  Benchmark problems start uniformly in their box (seeded);
     all other instances use their standard start.  The same seed also
-    seeds the noise stream when rho != 0; a rho that is not a finite
-    number >= 0 (a bool is not a number), or a seed that is not an int
-    >= 0, raises :class:`InputError`.
+    seeds the noise stream when rho != 0; :class:`NoiseSpec` checks both
+    before the problem is built.
     """
-    if problem_name not in CATALOG:
-        raise ConfigError(f"unknown problem {problem_name!r}")
-    _check_seed(seed)
+    _check_problem(problem_name)
+    spec = NoiseSpec(rho=rho, seed=seed)
     problem = get_problem(problem_name)
     x0 = None
     if CATALOG[problem_name].origin == "benchmark":
         x0 = random_start(problem, seed)
-    spec = NoiseSpec(rho=rho, seed=seed)
     if spec.rho != 0:
         problem = wrap_noisy(problem, spec)
     return _run_solver(solver, problem, x0, seed, **params)
@@ -218,12 +215,33 @@ _CONFIG_DEFAULTS = {
     **_CELL_DEFAULTS,
 }
 
+# The list fields of a config, each with the check that its every item passes.
+_LIST_CHECKS = {
+    "problems": _check_problem,
+    "solvers": lambda solver: _solver_config(solver, **_CELL_DEFAULTS),
+    "seeds": _check_seed,
+    "noise": NoiseSpec,
+}
+
+
+def _check_field(field, value):
+    """Check each item of a list field, or a cell parameter in every solver's config."""
+    if field in _CELL_DEFAULTS:
+        for solver in SOLVERS:
+            _solver_config(solver, **{**_CELL_DEFAULTS, field: value})
+        return
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"must be a non-empty list, got {value!r}")
+    for item in value:
+        _LIST_CHECKS[field](item)
+
 
 def load_config(source):
     """Read and validate an experiment config (a dict or a JSON file path).
 
-    A repeated cell, such as a repeated seed, raises :class:`ConfigError`
-    naming its trajectory file stem, before any cell runs.
+    Each field is checked by the code that owns it.  Its error, or a repeated
+    cell (named by its trajectory file stem), is a :class:`ConfigError`
+    raised before any cell runs.
     """
     if isinstance(source, dict):
         cfg = dict(source)
@@ -239,41 +257,13 @@ def load_config(source):
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     merged = {**_CONFIG_DEFAULTS, **cfg}
-    if not merged["problems"]:
-        raise ConfigError("config field 'problems': at least one name required")
-    for name in merged["problems"]:
-        if name not in CATALOG:
-            raise ConfigError(f"config field 'problems': unknown problem {name!r}")
-    budget = merged["budget"]
-    if not _is_int(budget) or budget < 1:
-        raise ConfigError("config field 'budget': must be an int >= 1")
-    for field in ("criticality_tol", "varsigma", "beta"):
-        if not _is_number(merged[field]):
-            raise ConfigError(f"config field {field!r}: must be a number")
-    if merged["thin"] is not None and not _is_int(merged["thin"]):
-        raise ConfigError("config field 'thin': must be an int or null")
-    for solver in merged["solvers"]:
-        if solver not in SOLVERS:
-            raise ConfigError(f"config field 'solvers': unknown solver {solver!r}")
+    for field in (*_LIST_CHECKS, *_CELL_DEFAULTS):
         try:
-            _solver_config(solver, **{k: merged[k] for k in _CELL_DEFAULTS})
-        except InputError as exc:
-            raise ConfigError(f"config for solver {solver!r}: {exc}") from exc
-    seeds = merged["seeds"]
-    if not isinstance(seeds, list):
-        raise ConfigError("config field 'seeds': must be a list of ints")
-    for seed in seeds:
-        try:
-            _check_seed(seed)
-        except InputError as exc:
-            raise ConfigError(f"config field 'seeds': {exc}") from exc
-    noise = merged["noise"]
-    if not isinstance(noise, list) or not all(
-        _is_number(rho) and math.isfinite(rho) and rho >= 0 for rho in noise
-    ):
-        raise ConfigError("config field 'noise': must be a list of finite levels >= 0")
+            _check_field(field, merged[field])
+        except (ConfigError, InputError) as exc:
+            raise ConfigError(f"config field {field!r}: {exc}") from exc
     cells = set()
-    for cell in itertools.product(merged["problems"], merged["solvers"], seeds, noise):
+    for cell in itertools.product(*(merged[field] for field in _LIST_CHECKS)):
         if cell in cells:
             raise ConfigError(f"config repeats the cell {_stem(*cell)}")
         cells.add(cell)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import InputError, MultiObjectiveProblem, _in_run
+from .problems import InputError, MultiObjectiveProblem, _check_seed, _in_run, _is_int
 
 KINDS = ("quadrants", "diagonals")
 
@@ -119,8 +119,9 @@ def generate_dataset(kind, N=10_000, seed=0):
     """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-    if N < 10:
-        raise InputError(f"N must be at least 10, got {N}")
+    if not (_is_int(N) and N >= 10):
+        raise InputError(f"N must be an int >= 10, got {N!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     points = rng.uniform(-2.0, 2.0, size=(N, 2))
     perm = rng.permutation(N)

@@ -55,6 +55,12 @@ def _is_number(value):
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
+def _check_seed(seed):
+    """Raise :class:`InputError` unless ``seed`` is an int >= 0 (not a bool)."""
+    if not (_is_int(seed) and seed >= 0):
+        raise InputError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def _finite(a):
     """True if every entry of the array ``a`` is finite.
 
@@ -239,7 +245,7 @@ class NoiseSpec:
 
     xi ~ N(0, 1) is drawn fresh for every output entry on every call from a
     generator seeded with ``seed``, so a wrapped problem replays exactly under
-    an identical call sequence.
+    an identical call sequence.  A bad field raises :class:`InputError`.
     """
 
     rho: float
@@ -250,6 +256,7 @@ class NoiseSpec:
             raise InputError(
                 f"noise level must be a finite number >= 0, got {self.rho!r}"
             )
+        _check_seed(self.seed)
 
 
 class NoisyProblem:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import InputError, MultiObjectiveProblem
+from .problems import InputError, MultiObjectiveProblem, _check_seed
 
 
 @dataclass(frozen=True)
@@ -345,6 +345,7 @@ def get_benchmark(name):
 
 def random_start(problem, seed):
     """Uniform start in the box ``START_BOX``^n, which every benchmark shares."""
+    _check_seed(seed)
     lo, hi = START_BOX
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=problem.n)

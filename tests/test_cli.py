@@ -125,7 +125,19 @@ class TestProfile:
         assert "typo" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fields", [{"budget": "10"}, {"budget": True}, {"noise": 0.05}]
+        "fields",
+        [
+            {"budget": "10"},
+            {"budget": True},
+            {"noise": 0.05},
+            {"seeds": []},
+            {"solvers": []},
+            {"noise": []},
+            {"problems": [["MOP1"]]},
+            {"problems": "MOP1"},
+            {"solvers": [["adagrad"]]},
+            {"solvers": "adagrad"},
+        ],
     )
     def test_mistyped_config_exits_2(self, tmp_path, capsys, fields):
         cfg = tmp_path / "exp.json"
@@ -195,6 +207,14 @@ class TestMultitask:
         expected = tmp_path / "expected.csv"
         multitask.to_csv(real("quadrants", seed=3), expected)
         assert (out / "dataset.csv").read_bytes() == expected.read_bytes()
+
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "mt"
+        argv = ["multitask", "--example", "quadrants", "--solver", "adagrad",
+                "--iters", "2", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "seed must be an int >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_example_rejected_by_parser(self):
         with pytest.raises(SystemExit):

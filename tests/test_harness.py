@@ -32,7 +32,7 @@ from mograd import (
 )
 from mograd import AdagradConfig, DescentConfig, harness
 from mograd.cli import build_parser
-from mograd.harness import load_config, load_summary, load_trajectory_csv
+from mograd.harness import _CONFIG_DEFAULTS, load_config, load_summary, load_trajectory_csv
 
 
 def _fake(gradient_evals, objective_evals, n):
@@ -279,16 +279,31 @@ class TestConfig:
             ({"problems": ["MOP1"], "solvers": ["descent"] * 2}, "MOP1__descent__seed0__rho0"),
             ({"problems": ["MOP1"], "seeds": [-1]}, "seeds"),
             ({"problems": ["MOP1"], "seeds": [0, True]}, "seeds"),
+            # A cell parameter is checked whether or not its solver is listed.
+            ({"problems": ["MOP1"], "solvers": ["descent"], "varsigma": 2.0}, "varsigma"),
+            ({"problems": ["MOP1"], "solvers": ["adagrad"], "beta": 0}, "beta"),
+            ({"problems": ["MOP1"], "seeds": []}, "config field 'seeds'"),
+            ({"problems": ["MOP1"], "solvers": []}, "config field 'solvers'"),
+            ({"problems": ["MOP1"], "noise": []}, "config field 'noise'"),
+            ({"problems": [["MOP1"]]}, "config field 'problems'"),
+            ({"problems": "MOP1"}, "config field 'problems': must be a non-empty list"),
+            ({"problems": ["MOP1"], "solvers": [["adagrad"]]}, "config field 'solvers'"),
+            ({"problems": ["MOP1"], "solvers": "adagrad"}, "config field 'solvers': must be a non-empty list"),
         ],
     )
     def test_invalid_configs_name_the_field(self, cfg, field):
         with pytest.raises(ConfigError, match=field):
             load_config(cfg)
 
-    def test_unused_solver_parameters_not_checked(self):
-        # varsigma belongs to adagrad; a descent-only config ignores it.
-        cfg = load_config({"problems": ["MOP1"], "solvers": ["descent"], "varsigma": 2.0})
-        assert cfg["varsigma"] == 2.0
+    def test_readme_config_example_shows_the_defaults(self):
+        # The README's example config names every config field, with the
+        # cell parameters at their defaults.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Experiment configs", 1)[1]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert set(example) == set(_CONFIG_DEFAULTS)
+        cell = ("budget", "criticality_tol", "varsigma", "beta", "thin")
+        assert {k: example[k] for k in cell} == {k: _CONFIG_DEFAULTS[k] for k in cell}
 
     def test_bad_solver_parameter_runs_no_cell(self, monkeypatch):
         cells = []

@@ -160,6 +160,13 @@ class TestDataset:
             generate_dataset("spiral")
         with pytest.raises(InputError):
             generate_dataset("quadrants", N=5)
+        with pytest.raises(InputError, match="N must be an int"):
+            generate_dataset("quadrants", N=10.5)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be an int >= 0"):
+            generate_dataset("quadrants", N=20, seed=seed)
 
     def test_split_params_shapes(self):
         ds = generate_dataset("quadrants", N=100, seed=0)

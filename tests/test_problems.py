@@ -243,6 +243,11 @@ class TestNoiseWrapper:
         with pytest.raises(InputError, match="noise level"):
             NoiseSpec(rho=bad)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be an int >= 0"):
+            NoiseSpec(0.05, seed=seed)
+
     @pytest.mark.parametrize(
         "run, config", [(run_adagrad, AdagradConfig), (run_descent, DescentConfig)]
     )

@@ -354,6 +354,11 @@ class TestStarts:
         assert np.all((x1 >= -2.0) & (x1 <= 2.0))
         assert not np.array_equal(x1, random_start(p, seed=8))
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be an int >= 0"):
+            random_start(get_benchmark("Lovison3"), seed)
+
     @pytest.mark.parametrize("name", ["Lovison3", "Lovison4", "MOP1", "T1", "T2"])
     def test_benchmarks_solvable_from_seeded_start(self, name):
         p = get_benchmark(name)
