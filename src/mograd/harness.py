@@ -239,13 +239,12 @@ def _check_field(field, value):
 def load_config(source):
     """Read and validate an experiment config (a dict or a JSON file path).
 
-    Each field is checked by the code that owns it.  Its error, or a repeated
-    cell (named by its trajectory file stem), is a :class:`ConfigError`
-    raised before any cell runs.
+    A config that is not a JSON object, a field's error (each field is
+    checked by the code that owns it) or a repeated cell (named by its
+    trajectory file stem) is a :class:`ConfigError` raised before any cell runs.
     """
-    if isinstance(source, dict):
-        cfg = dict(source)
-    else:
+    cfg = source
+    if isinstance(source, (str, bytes, os.PathLike)):
         try:
             with open(source) as fh:
                 cfg = json.load(fh)
@@ -253,6 +252,8 @@ def load_config(source):
             raise ConfigError(f"{source}:{exc.lineno}: {exc.msg}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
     unknown = set(cfg) - set(_CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -28,9 +28,9 @@ writing into its arrays in place is not detected.
 Inside a solver run (a :class:`~mograd.problems.run_scope`), a point's
 value and gradient share one forward pass, the logits and the softmax or
 sigmoid of both tasks: whichever of :func:`losses` and
-:func:`loss_gradients` comes first at a ``params`` array computes it, and
-the other reads it from the scope.  A public call, outside any run,
-always computes its own.
+:func:`loss_gradients` comes first at a ``params`` array stores it in the
+scope's memo of that point, under the split's block, and the other reads
+it there.  A public call, outside any run, always computes its own.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ def split_params(dataset, params):
     return params[:d], params[d:]
 
 
-@dataclass
+# eq=False: a block hashes by identity, as a key of the run scope's memo.
+@dataclass(eq=False)
 class _Block:
     """One split, class-major, with the targets of both tasks."""
 
@@ -237,20 +238,19 @@ def _forward(kind, XT, w1, w2):
 def _probabilities(dataset, split, params):
     """The split's block and the forward pass at ``params``, shared in a run.
 
-    Inside a :class:`~mograd.problems.run_scope`, the scope keeps the last
-    forward pass, keyed on the block and the ``params`` object (``is``, not
-    ``==``), so that :func:`losses` and :func:`loss_gradients` at one point
+    Inside a :class:`~mograd.problems.run_scope`, the pass is stored in the
+    scope's memo at the ``params`` object (``is``, not ``==``) under the
+    block, so :func:`losses` and :func:`loss_gradients` at one point
     compute it once.  Outside a run every call computes its own.  Neither
     consumer writes into the probabilities.
     """
     block = _split_block(dataset, split)
+
+    def forward(params):
+        return _forward(dataset.kind, block.XT, *split_params(dataset, params))
+
     scope = _in_run()
-    if scope is not None and scope.shared_x is params and scope.shared_key is block:
-        return block, scope.shared
-    probs = _forward(dataset.kind, block.XT, *split_params(dataset, params))
-    if scope is not None:
-        scope.shared_key, scope.shared_x, scope.shared = block, params, probs
-    return block, probs
+    return block, forward(params) if scope is None else scope.value(block, params, forward)
 
 
 def losses(dataset, split, params):
@@ -357,12 +357,13 @@ def _csv_field(row, column, parse, where):
 def from_csv(path, kind, seed=0):
     """Rebuild a dataset from :func:`to_csv` output; features are recomputed.
 
-    Raises :class:`InputError` naming a missing column, or the line of a
-    row whose split is not ``train`` or ``test``, whose label is not an
-    integer in its task's classes, or whose coordinate is not a number.
+    Raises :class:`InputError` for a bad seed, naming a missing column, or
+    naming the line of a row whose split is not ``train`` or ``test``, whose
+    label is not one of its task's classes, or whose coordinate is not a number.
     """
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_seed(seed)
     classes1 = range(1, 5) if kind == "quadrants" else range(2)
     points, labels1, labels2 = [], [], []
     splits = {"train": [], "test": []}

@@ -100,29 +100,37 @@ class run_scope:
     checks, but a public oracle call made inside a run on the run's thread
     (a user oracle that calls another problem) is in the scope.  Scopes nest.
 
-    The scope is also a one-slot memo of the last objective value computed
-    in it: ``owner``, ``x`` and ``y``.  An ``evaluate`` of that same point
-    object (``is``, not ``==``) by that same problem returns ``y`` without
-    calling the user objective, and still counts.  The memo goes with the
-    scope: a public call outside a run runs in a scope of its own, so it
-    never sees a value stored by another call.  Within a run, neither a
-    point nor a returned value may be changed in place; the drivers never
-    do either.
-
-    A second one-slot memo, ``shared_key``, ``shared_x`` and ``shared``,
-    holds work that two oracles at one point have in common, for an oracle
-    that opts in: the multitask oracles keep their forward pass there
-    (:func:`mograd.multitask._probabilities`).  The catalog oracles do not
-    use it.
+    The scope is also a memo of the values computed at one point, the last
+    at which a call in it computed one, keyed by their owner
+    (:meth:`value`).  A problem's ``evaluate`` at that same point object
+    (``is``, not ``==``) returns its stored value without calling the user
+    objective, and still counts; the multitask oracles keep their forward
+    pass there, under the split's block.  The memo goes with the scope: a
+    public call outside a run has a scope of its own, so it never sees
+    another call's values.  Within a run, neither a point nor a stored
+    value may be changed in place; the drivers never do either.
     """
 
-    __slots__ = ("owner", "x", "y", "shared_key", "shared_x", "shared", "_token", "_errstate")
+    __slots__ = ("x", "values", "_token", "_errstate")
 
-    def __init__(self):
-        self.owner = self.x = self.y = None
-        self.shared_key = self.shared_x = self.shared = None
+    def value(self, owner, x, compute):
+        """``owner``'s value at the point ``x``: the stored one, or ``compute(x)``.
+
+        A new point's first value replaces the last point's values once it
+        is computed, so their arrays are freed after the new ones exist;
+        freed first, they can let the C heap hand back its top and
+        page-fault it in again at every multitask gradient.
+        """
+        if self.x is x and owner in self.values:
+            return self.values[owner]
+        value = compute(x)
+        if self.x is not x:
+            self.x, self.values = x, {}
+        self.values[owner] = value
+        return value
 
     def __enter__(self):
+        self.x = None
         self._token = _RUN.set(self)
         self._errstate = np.errstate(all="ignore")
         self._errstate.__enter__()
@@ -204,20 +212,17 @@ class MultiObjectiveProblem:
 
         A public call checks ``x`` and raises :class:`InputError` for a
         wrong shape or a non-finite entry.  Inside a solver run the point
-        is not checked again, and a call at the very array whose value the
-        run computed last, by this same problem, returns the stored value
-        (see :class:`run_scope`).
+        is not checked again, and a call at the run's last point object
+        returns this problem's value stored there (see :class:`run_scope`).
         """
-        scope = _in_run()
-        if scope.x is x and scope.owner is self:
-            self.counters.objective_evals += 1
-            return scope.y
-        y = np.asarray(self._objectives(x), dtype=float).reshape(self.m)
+        y = _in_run().value(self, x, self._value)
         self.counters.objective_evals += 1
         if not _finite(y):
             raise _overflow(self.name, y, x)
-        scope.owner, scope.x, scope.y = self, x, y
         return y
+
+    def _value(self, x):
+        return np.asarray(self._objectives(x), dtype=float).reshape(self.m)
 
     @_oracle
     def jacobian(self, x):

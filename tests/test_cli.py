@@ -146,6 +146,14 @@ class TestProfile:
         assert f"config field '{next(iter(fields))}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", ['["problems"]', "3", '"MOP1"'])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(text)
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
         cells = []
         monkeypatch.setattr(harness, "run_cell", lambda *a, **k: cells.append(a))

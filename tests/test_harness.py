@@ -246,6 +246,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"bad\.json:2"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text", ['["problems"]', "3", '"MOP1"'])
+    def test_config_file_must_hold_an_object(self, tmp_path, text):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(str(path))
+
+    def test_config_must_be_a_dict(self):
+        with pytest.raises(ConfigError, match=r"config must be a JSON object, got \['problems'\]"):
+            load_config(["problems"])
+
     @pytest.mark.parametrize(
         "cfg, field",
         [

@@ -303,12 +303,13 @@ class TestSharedForwardPass:
         theta = rng.normal(scale=3.0, size=ds.n_params)
         want = {losses: losses(ds, split, theta), loss_gradients: loss_gradients(ds, split, theta)}
         second = loss_gradients if first is losses else losses
+        block = multitask._split_block(ds, split)
         with run_scope() as scope:
             got = {first: first(ds, split, theta)}
-            shared = scope.shared
+            shared = scope.value(block, theta, None)
             before = [p.copy() for p in shared]
             got[second] = second(ds, split, theta)
-            assert scope.shared is shared
+            assert scope.value(block, theta, None) is shared
         assert got[losses] == want[losses]
         assert got[loss_gradients].tobytes() == want[loss_gradients].tobytes()
         for p, copy in zip(shared, before):
@@ -473,6 +474,11 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=f"points.csv: no '{column}' column"):
             from_csv(path, "diagonals")
+
+    @pytest.mark.parametrize("seed", [True, -3, 1.5])
+    def test_bad_seed_rejected_before_the_file_is_read(self, tmp_path, seed):
+        with pytest.raises(InputError, match="seed must be an int >= 0"):
+            from_csv(tmp_path / "absent.csv", "quadrants", seed=seed)
 
     def test_header(self, tmp_path):
         ds = generate_dataset("quadrants", N=20, seed=0)

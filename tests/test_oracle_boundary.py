@@ -11,6 +11,7 @@ oracles share through it, must change no record and no count.
 
 import threading
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -293,6 +294,64 @@ def test_another_problem_at_the_same_point_gets_its_own_value():
         return _fingerprint(rec)
 
     assert run(lambda p: p) == run(_FreshPoints)
+
+
+def test_run_memo_keeps_values_by_point_object_and_owner():
+    p_calls, q_calls, outer_calls = [], [], []
+    p = _counting(quadratic_pair(), p_calls)
+    q = _counting(quadratic_pair(), q_calls)
+    x = np.array([0.5, 1.0])
+    with run_scope():
+        # The same object hits; an equal copy misses.
+        y = p.evaluate(x)
+        assert p.evaluate(x) is y
+        assert np.array_equal(p.evaluate(x.copy()), y)
+        assert len(p_calls) == 2
+        # Two owners at one point both keep their values.
+        y, z = p.evaluate(x), q.evaluate(x)
+        assert p.evaluate(x) is y and q.evaluate(x) is z
+        assert (len(p_calls), len(q_calls)) == (3, 1)
+
+        # The outer objective moves the memo to another point by evaluating
+        # p there.  The outer value, computed at x, must not be found at
+        # that other point.
+        elsewhere = np.array([3.0, -1.0])
+
+        def objectives(x):
+            outer_calls.append(1)
+            p.evaluate(elsewhere)
+            return -x
+
+        outer = MultiObjectiveProblem("NEG", 2, 2, [0.0, 0.0], objectives, lambda x: -np.eye(2))
+        assert np.array_equal(outer.evaluate(x), -x)
+        assert np.array_equal(outer.evaluate(elsewhere), -elsewhere)
+        assert np.array_equal(outer.evaluate(x), -x)
+    assert len(outer_calls) == outer.counters.objective_evals == 3
+    assert len(p_calls) == 5
+    assert p.counters.objective_evals == 8
+    assert q.counters.objective_evals == 2
+
+
+def test_a_new_points_values_replace_the_last_once_computed():
+    # The last point's values stay alive while the new point's first value
+    # is computed, so that their arrays are freed after the new ones exist.
+    class Value:
+        pass
+
+    old = Value()
+    last = weakref.ref(old)
+    alive = []
+
+    def compute(x):
+        alive.append(last() is not None)
+        return Value()
+
+    with run_scope() as scope:
+        scope.value("owner", np.zeros(2), lambda x: old)
+        del old
+        scope.value("owner", np.ones(2), compute)
+        assert alive == [True]
+        assert last() is None
 
 
 class TestMultitaskForwardPass:
