@@ -7,17 +7,7 @@ lands close to the noiseless solution; the line-search baseline reacts
 to every corrupted objective value and tends to drift further.
 """
 
-import numpy as np
-
-from mograd import (
-    AdagradConfig,
-    DescentConfig,
-    NoiseSpec,
-    get_problem,
-    run_adagrad,
-    run_descent,
-    wrap_noisy,
-)
+from mograd import noise_distance_table
 
 PROBLEMS = ["ROSENBR-CUBE", "BROWNAL-VARDIM", "BROWNAL-ARWHEAD"]
 RHO = 0.05
@@ -26,20 +16,10 @@ BUDGET = 10_000
 print(f"distance of the noisy solution from the noiseless one (rho = {RHO:.0%})\n")
 print(f"{'problem':<18} {'adagrad':>10} {'descent':>10}")
 
+distances, _ = noise_distance_table(PROBLEMS, noise_levels=(RHO,), budget=BUDGET)
 for name in PROBLEMS:
-    row = {}
-    for solver, runner in (("adagrad", run_adagrad), ("descent", run_descent)):
-        config = (
-            AdagradConfig(gradient_budget=BUDGET)
-            if solver == "adagrad"
-            else DescentConfig(gradient_budget=BUDGET)
-        )
-        reference = runner(get_problem(name), config=config)
-
-        noisy = wrap_noisy(get_problem(name), NoiseSpec(rho=RHO, seed=0))
-        perturbed = runner(noisy, config=config)
-        row[solver] = float(np.linalg.norm(perturbed.final_x - reference.final_x))
-    print(f"{name:<18} {row['adagrad']:>10.4f} {row['descent']:>10.4f}")
+    row = [distances[(name, solver, RHO)] for solver in ("adagrad", "descent")]
+    print(f"{name:<18} {row[0]:>10.4f} {row[1]:>10.4f}")
 
 print(
     "\nNote: under noise the line search may stall (status Failed); the"

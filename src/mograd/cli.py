@@ -22,6 +22,13 @@ from .problems import InputError
 from .suite import list_problems
 
 
+def _export(records, out, csv_dir=""):
+    """Trajectory CSVs into ``out/csv_dir``, the summary into ``out/summary.json``."""
+    os.makedirs(out, exist_ok=True)
+    harness.export(records, "csv", os.path.join(out, csv_dir))
+    harness.export(records, "json", os.path.join(out, "summary.json"))
+
+
 def _cmd_list_problems(args):
     rows = list_problems()
     width = max(len(r[0]) for r in rows)
@@ -40,9 +47,7 @@ def _cmd_solve(args):
         budget=args.budget,
         criticality_tol=args.tol,
     )
-    os.makedirs(args.out, exist_ok=True)
-    harness.export([record], "csv", args.out)
-    harness.export([record], "json", os.path.join(args.out, "summary.json"))
+    _export([record], args.out)
     print(
         f"{record.problem} {record.solver}: {record.status.value} "
         f"after {record.iterations} iterations, "
@@ -54,9 +59,7 @@ def _cmd_solve(args):
 
 def _cmd_profile(args):
     records = harness.run_experiment(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    harness.export(records, "csv", os.path.join(args.out, "records"))
-    harness.export(records, "json", os.path.join(args.out, "summary.json"))
+    _export(records, args.out, "records")
     table = harness.profile_from_records(records)
     lines = ["tau," + ",".join(table.solvers)]
     for i, tau in enumerate(table.tau):
@@ -77,11 +80,7 @@ def _cmd_multitask(args):
     result = harness.run_multitask(
         args.example, args.solver, iters=args.iters, seed=args.seed
     )
-    os.makedirs(args.out, exist_ok=True)
-    harness.export([result.record], "csv", args.out)
-    harness.export(
-        [result.record], "json", os.path.join(args.out, "summary.json")
-    )
+    _export([result.record], args.out)
     multitask.to_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
     lines = ["k,acc1,acc2,min_acc"]
     for k in sorted(result.test_accuracy):
@@ -146,9 +145,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-problems", help="print the problem catalog")
+    p = sub.add_parser("list-problems", help="print the problem catalog")
+    p.set_defaults(run=_cmd_list_problems)
 
     p = sub.add_parser("solve", help="run one solver on one problem")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--problem", required=True)
     p.add_argument("--solver", required=True, choices=harness.SOLVERS)
     p.add_argument("--seed", type=int, default=0)
@@ -158,10 +159,12 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("profile", help="run a config and emit performance profiles")
+    p.set_defaults(run=_cmd_profile)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("multitask", help="train a two-task example")
+    p.set_defaults(run=_cmd_multitask)
     p.add_argument("--example", required=True, choices=multitask.KINDS)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--solver", required=True, choices=harness.SOLVERS)
@@ -169,6 +172,7 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("rate-check", help="check the running-average bound")
+    p.set_defaults(run=_cmd_rate_check)
     p.add_argument("--record", required=True)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--gamma0", type=float, required=True)
@@ -177,19 +181,10 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "list-problems": _cmd_list_problems,
-    "solve": _cmd_solve,
-    "profile": _cmd_profile,
-    "multitask": _cmd_multitask,
-    "rate-check": _cmd_rate_check,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ConfigError, InputError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

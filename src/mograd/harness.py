@@ -22,7 +22,7 @@ from .adagrad import AdagradConfig, SolverConfig, run_adagrad
 from .descent import DescentConfig, run_descent
 from .problems import InputError, NoiseSpec, _check_seed, _is_int, wrap_noisy
 from .records import TRAJECTORY_COLUMNS, RunStatus
-from .suite import CATALOG, get_problem, random_start
+from .suite import CATALOG, random_start
 
 SOLVERS = ("adagrad", "descent")
 
@@ -117,8 +117,7 @@ def theta_constant(varsigma, l_max, gamma0):
     """The rate constant max{s, (s/2)e^(2 Gamma0 / L), 2048 L^4 / s}."""
     if l_max <= 0:
         raise InputError(f"l_max must be > 0, got {l_max}")
-    if not 0 < varsigma < 1:
-        raise InputError(f"varsigma must be in (0, 1), got {varsigma}")
+    AdagradConfig(varsigma=varsigma)  # the one varsigma check
     return max(
         varsigma,
         0.5 * varsigma * math.exp(2.0 * gamma0 / l_max),
@@ -198,9 +197,10 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
     """
     _check_problem(problem_name)
     spec = NoiseSpec(rho=rho, seed=seed)
-    problem = get_problem(problem_name)
+    entry = CATALOG[problem_name]
+    problem = entry.build()
     x0 = None
-    if CATALOG[problem_name].origin == "benchmark":
+    if entry.origin == "benchmark":
         x0 = random_start(problem, seed)
     if spec.rho != 0:
         problem = wrap_noisy(problem, spec)
@@ -264,11 +264,16 @@ def load_config(source):
         except (ConfigError, InputError) as exc:
             raise ConfigError(f"config field {field!r}: {exc}") from exc
     cells = set()
-    for cell in itertools.product(*(merged[field] for field in _LIST_CHECKS)):
+    for cell in _cells(merged):
         if cell in cells:
             raise ConfigError(f"config repeats the cell {_stem(*cell)}")
         cells.add(cell)
     return merged
+
+
+def _cells(cfg):
+    """The (problem, solver, seed, rho) cells of a config, in run order."""
+    return itertools.product(*(cfg[field] for field in _LIST_CHECKS))
 
 
 def run_experiment(config):
@@ -281,10 +286,7 @@ def run_experiment(config):
     params = {k: cfg[k] for k in _CELL_DEFAULTS}
     return [
         run_cell(name, solver, seed=seed, rho=rho, **params)
-        for name in cfg["problems"]
-        for solver in cfg["solvers"]
-        for seed in cfg["seeds"]
-        for rho in cfg["noise"]
+        for name, solver, seed, rho in _cells(cfg)
     ]
 
 

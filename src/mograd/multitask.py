@@ -13,7 +13,8 @@ are provided, each defining two tasks over a shared feature vector:
 The two losses share a parameter vector but touch disjoint blocks, so
 the training problem is a clean bi-objective instance with block-sparse
 gradients.  Parameters flatten as the Task 1 block (row-major) followed
-by the Task 2 weight vector; the all-zero vector is the standard start.
+by the Task 2 weight vector, a layout that only :func:`split_params`
+states; the all-zero vector is the standard start.
 
 The oracles (:func:`losses`, :func:`loss_gradients`, :func:`accuracy`)
 work on a per-split block built on first use and kept on the frozen
@@ -143,7 +144,7 @@ def generate_dataset(kind, N=10_000, seed=0):
 
 
 def split_params(dataset, params):
-    """Unflatten the parameter vector into (task-1 weights, task-2 weights)."""
+    """Task-1 and task-2 weights, views of float ``params``: the layout's one owner."""
     params = np.asarray(params, dtype=float)
     if params.shape != (dataset.n_params,):
         raise InputError(
@@ -273,19 +274,17 @@ def loss_gradients(dataset, split, params):
     """Analytic gradient rows, shape (2, P); cross-task blocks are zero."""
     block, (p1, p2) = _probabilities(dataset, split, params)
     XT = block.XT
-    d, N = XT.shape
+    N = XT.shape[1]
     out = np.zeros((2, dataset.n_params))
-    out[1, dataset.n_params - d :] = XT @ (p2 - block.target2) / N
+    split_params(dataset, out[1])[1][...] = XT @ (p2 - block.target2) / N
     # Freed before the task-1 residual is allocated.  Outside a run nothing
     # else holds p2, and a call that peaks above about two (4, N) arrays
     # makes the C allocator hand the heap back after every call, which the
     # next call then page-faults in again.
     del p2
     r = p1 - block.target1
-    if dataset.kind == "quadrants":
-        out[0, : d * 4] = (XT @ r.T).ravel() / N
-    else:
-        out[0, :d] = XT @ r / N
+    # r.T of a binary task's N-vector residual is the residual itself.
+    split_params(dataset, out[0])[0][...] = XT @ r.T / N
     return out
 
 

@@ -96,12 +96,17 @@ _TINY = 2.0**-500
 _HUGE = float(np.finfo(float).max)
 
 
-def _finish(G, lam, iterations):
-    """Clamp stray negatives, renormalize, and package a solution."""
-    lam = np.maximum(lam, 0.0)
-    lam = lam / lam.sum()
+def _solution(G, lam, iterations):
+    """The solution with weights ``lam`` for ``G``: g = G^T lam and omega = ||g||^2."""
     g = G.T.dot(lam)
     return SubproblemSolution(lam, g, float(g.dot(g)), iterations, G)
+
+
+def _finish(G, lam, iterations):
+    """Clamp stray negatives and renormalize; omega may overflow to inf, unwarned."""
+    lam = np.maximum(lam, 0.0)
+    with np.errstate(over="ignore"):
+        return _solution(G, lam / lam.sum(), iterations)
 
 
 def kkt_residual(G, weights):
@@ -159,14 +164,11 @@ def _min_norm_rows(G):
     """
     top = float(abs(G).max(initial=0.0))  # nan if an entry is
     if _TINY < top and 4.0 * G.shape[1] * top * top < _HUGE:
-        lam = _two_weights(G)
-        g = G.T.dot(lam)
-        return SubproblemSolution(lam, g, float(g.dot(g)), 0, G)
+        return _solution(G, _two_weights(G), 0)
     G = _check_matrix(G)
     lam = _two_weights(G / top) if top else np.array([1.0, 0.0])
     with np.errstate(over="ignore"):
-        g = G.T.dot(lam)
-        return SubproblemSolution(lam, g, float(g.dot(g)), 0, G)
+        return _solution(G, lam, 0)
 
 
 def _two_weights(G):

@@ -301,11 +301,33 @@ class TestRateCheck:
         assert code == 2
         assert "varsigma" in capsys.readouterr().err
 
+    def test_mistyped_varsigma_in_summary_exits_2(self, solved_dir, capsys):
+        path = solved_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["records"][0]["config"]["varsigma"] = "0.01"
+        path.write_text(json.dumps(summary))
+        code = main(
+            ["rate-check", "--record", str(path), "--lmax", "1.0", "--gamma0", "2.0"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: varsigma must be a real number, got '0.01'\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mograd", "list-problems"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0
+        assert "MOP1" in proc.stdout
+
+    def test_cli_module_invocation(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mograd.cli", "list-problems"],
             capture_output=True,
             text=True,
             env=src_env(),

@@ -105,6 +105,8 @@ class TestRateCheck:
             theta_constant(0.01, 0.0, 1.0)
         with pytest.raises(InputError):
             theta_constant(1.0, 1.0, 1.0)
+        with pytest.raises(InputError, match="varsigma"):
+            theta_constant("0.5", 1.0, 1.0)
 
     def test_bound_holds_on_quadratic_pair(self):
         p = quadratic_pair()

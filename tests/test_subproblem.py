@@ -154,6 +154,20 @@ class TestMinNormElement:
         assert sol.omega == pytest.approx(0.5, abs=1e-10)
         assert sol.weights[2] == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_large_cancelling_rows_do_not_warn(self, m):
+        # The exact minimizer is 0 at weights [0.5, 0.5(, 0)].  The weights'
+        # rounding leaves a residue of about 1e-16 max|G| in g, so omega may
+        # overflow to inf, as on the m = 2 closed form's out-of-range route;
+        # it is not pinned here.
+        G = np.array([[5e169, 0, 0, 1e170], [-5e169, 0, 0, -1e170], [1e170, 0, 0, 1e170]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = min_norm_element(G[:m])
+        assert sol.weights.min() >= 0.0
+        assert sol.weights.sum() == pytest.approx(1.0)
+        assert_allclose(sol.weights, [0.5, 0.5, 0.0][:m], atol=1e-12)
+
     def test_zero_matrix_degenerate(self):
         sol = min_norm_element(np.zeros((3, 4)))
         assert_allclose(sol.weights, [1 / 3] * 3)
