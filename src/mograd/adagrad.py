@@ -21,6 +21,7 @@ from .problems import (
     EvaluationOverflowError,
     InputError,
     LineSearchError,
+    _check_positive,
     _check_x,
     _finite,
     _in_run,
@@ -29,7 +30,7 @@ from .problems import (
     run_scope,
 )
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
-from .subproblem import _check_tol, solve_direction
+from .subproblem import solve_direction
 
 
 # The test a config field's value passes, by the field's annotation.
@@ -61,15 +62,12 @@ class SolverConfig:
         self._check_ranges()
 
     def _check_ranges(self):
-        if not self.criticality_tol > 0:
-            raise InputError(
-                f"criticality_tol must be > 0, got {self.criticality_tol}"
-            )
+        _check_positive(self.criticality_tol, "criticality_tol")
         if self.gradient_budget < 1:
             raise InputError(
                 f"gradient_budget must be >= 1, got {self.gradient_budget}"
             )
-        _check_tol(self.subproblem_tol, "subproblem_tol")
+        _check_positive(self.subproblem_tol, "subproblem_tol")
         if not self.thin >= 1:
             raise InputError(f"thin must be >= 1, got {self.thin}")
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import harness, multitask
 from .adagrad import AdagradConfig, SolverConfig
 from .harness import ConfigError
-from .problems import InputError
+from .problems import InputError, _is_number
 from .suite import list_problems
 
 
@@ -109,24 +109,36 @@ def _cmd_multitask(args):
     return 0
 
 
+def _field(path, obj, key):
+    """``obj[key]`` of a mapping read from ``path``, or a ConfigError naming both."""
+    if not (isinstance(obj, dict) and key in obj):
+        raise ConfigError(f"{path}: missing field {key!r}")
+    return obj[key]
+
+
 def _load_omega(path, varsigma):
     """Omega column and varsigma of an exported run.
 
     A summary names its run's trajectory CSV and carries its varsigma; a
-    bare trajectory CSV takes ``varsigma`` as given.
+    bare trajectory CSV takes ``varsigma`` as given.  A missing field or
+    column, or a summary of another shape, is a :class:`ConfigError`.
     """
     if not path.endswith(".json"):
-        return harness.load_trajectory_csv(path)["omega"], varsigma
-    recs = harness.load_summary(path)["records"]
-    if len(recs) != 1:
-        raise ConfigError(
-            f"{path}: expected exactly one record, found {len(recs)}"
-        )
+        return _field(path, harness.load_trajectory_csv(path), "omega"), varsigma
+    recs = _field(path, harness.load_summary(path), "records")
+    if not (isinstance(recs, list) and len(recs) == 1):
+        found = len(recs) if isinstance(recs, list) else repr(recs)
+        raise ConfigError(f"{path}: expected exactly one record, found {found}")
     row = recs[0]
-    stem = harness._stem(row["problem"], row["solver"], row["seed"], row["noise_rho"])
-    csv_path = os.path.join(os.path.dirname(path), stem + ".csv")
-    omega = harness.load_trajectory_csv(csv_path)["omega"]
-    return omega, row["config"].get("varsigma")
+    cell = [_field(path, row, key) for key in ("problem", "solver", "seed", "noise_rho")]
+    if not _is_number(cell[-1]):
+        raise ConfigError(f"{path}: field 'noise_rho' must be a number, got {cell[-1]!r}")
+    config = _field(path, row, "config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: field 'config' must be an object, got {config!r}")
+    csv_path = os.path.join(os.path.dirname(path), harness._stem(*cell) + ".csv")
+    omega = _field(csv_path, harness.load_trajectory_csv(csv_path), "omega")
+    return omega, config.get("varsigma")
 
 
 def _cmd_rate_check(args):
@@ -185,7 +197,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, InputError, KeyError, OSError) as exc:
+    except (ConfigError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,15 @@ import numpy as np
 from . import multitask
 from .adagrad import AdagradConfig, SolverConfig, run_adagrad
 from .descent import DescentConfig, run_descent
-from .problems import InputError, NoiseSpec, _check_seed, _is_int, wrap_noisy
+from .problems import (
+    InputError,
+    NoiseSpec,
+    _check_positive,
+    _check_seed,
+    _is_int,
+    _is_number,
+    wrap_noisy,
+)
 from .records import TRAJECTORY_COLUMNS, RunStatus
 from .suite import CATALOG, random_start
 
@@ -115,8 +124,9 @@ class RateReport:
 
 def theta_constant(varsigma, l_max, gamma0):
     """The rate constant max{s, (s/2)e^(2 Gamma0 / L), 2048 L^4 / s}."""
-    if l_max <= 0:
-        raise InputError(f"l_max must be > 0, got {l_max}")
+    _check_positive(l_max, "l_max")
+    if not (_is_number(gamma0) and -math.inf < gamma0 < math.inf):
+        raise InputError(f"gamma0 must be a finite real number, got {gamma0!r}")
     AdagradConfig(varsigma=varsigma)  # the one varsigma check
     return max(
         varsigma,
@@ -137,11 +147,21 @@ def rate_check(record, l_max, gamma0):
 
 
 def _rate_report(omega, varsigma, l_max, gamma0):
-    """The check of :func:`rate_check` on an omega column."""
+    """The check of :func:`rate_check` on an omega column.
+
+    The column must hold at least one recorded iteration, and every entry
+    must be a finite number >= 0; else a :class:`ConfigError`.
+    """
     if varsigma is None:
         raise ConfigError("rate check needs varsigma, which only adagrad runs record")
     theta = theta_constant(varsigma, l_max, gamma0)
     omega = np.asarray(omega, dtype=float)
+    if not omega.size:
+        raise ConfigError("rate check needs at least one recorded iteration; omega is empty")
+    bad = np.flatnonzero(~((omega >= 0) & (omega < math.inf)))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"omega must be finite and >= 0, got {float(omega[i])!r} at row {i}")
     k = np.arange(1, len(omega) + 1)
     running = np.cumsum(omega) / k
     bound = theta / k
@@ -245,13 +265,7 @@ def load_config(source):
     """
     cfg = source
     if isinstance(source, (str, bytes, os.PathLike)):
-        try:
-            with open(source) as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}:{exc.lineno}: {exc.msg}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {source}: {exc}") from exc
+        cfg = load_summary(source)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {cfg!r}")
     unknown = set(cfg) - set(_CONFIG_DEFAULTS)
@@ -452,13 +466,28 @@ def _json_scalar(value):
 
 
 def load_summary(path):
-    """Re-parse a JSON summary written by :func:`export`."""
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a JSON file (a summary or a config); a bad file is a ConfigError naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def load_trajectory_csv(path):
-    """Read one trajectory CSV back into arrays (dict of columns)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    """Read one trajectory CSV back into arrays (dict of columns).
+
+    A file numpy cannot parse (empty, or with a ragged row) is a
+    :class:`ConfigError` naming it; a file that cannot be opened is an ``OSError``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy's "Empty input file"
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+        except (UserWarning, ValueError) as exc:
+            reason = " ".join(str(exc).split())  # numpy's message spans lines
+            raise ConfigError(f"{path}: not a trajectory CSV: {reason}") from exc
     data = np.atleast_1d(data)
     return {name: np.asarray(data[name]) for name in data.dtype.names}

@@ -61,6 +61,12 @@ def _check_seed(seed):
         raise InputError(f"seed must be an int >= 0, got {seed!r}")
 
 
+def _check_positive(value, name):
+    """Raise :class:`InputError` unless ``value`` is a finite number > 0."""
+    if not (_is_number(value) and 0 < value < math.inf):
+        raise InputError(f"{name} must be > 0 and finite, got {value!r}")
+
+
 def _finite(a):
     """True if every entry of the array ``a`` is finite.
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .problems import ConvergenceError, InputError, _is_number
+from .problems import ConvergenceError, InputError, _check_positive
 
 
 class UnsupportedSizeError(InputError):
@@ -80,12 +80,6 @@ def _check_matrix(G):
     if not np.isfinite(G).all():
         raise InputError("gradient matrix contains non-finite entries")
     return G
-
-
-def _check_tol(tol, name="tol"):
-    """Raise :class:`InputError` unless ``tol`` is a finite number > 0."""
-    if not (_is_number(tol) and np.isfinite(tol) and tol > 0):
-        raise InputError(f"{name} must be a positive number, got {tol}")
 
 
 # Where max|G| of an (m, n) G lies in (_TINY, sqrt(_HUGE / 4n)), each squared
@@ -222,7 +216,7 @@ def min_norm_element(G, tol=1e-10):
     never increases along the iterates) if the steps exceed ten per row,
     which only rounding can cause, and :class:`InputError` for bad inputs.
     """
-    _check_tol(tol)
+    _check_positive(tol, "tol")
     G = _check_matrix(G)
     m = G.shape[0]
     scale = float(np.abs(G).max(initial=0.0))
@@ -305,8 +299,9 @@ def brute_force_min_norm(G, grid_step=0.01):
         raise UnsupportedSizeError(
             f"brute force supports at most 4 objectives, got {m}"
         )
-    if not 0.0 < grid_step <= 0.1:
-        raise InputError(f"grid_step must be in (0, 0.1], got {grid_step}")
+    _check_positive(grid_step, "grid_step")
+    if grid_step > 0.1:
+        raise InputError(f"grid_step must be <= 0.1, got {grid_step!r}")
     K = int(np.ceil(1.0 / grid_step))
     key = (m, K)
     if key not in _GRID_CACHE:

@@ -31,6 +31,11 @@ class ConfigContract:
         with pytest.raises(InputError, match="criticality_tol must be > 0"):
             self.config(criticality_tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_tol_finite(self, bad):
+        with pytest.raises(InputError, match="criticality_tol must be > 0 and finite"):
+            self.config(criticality_tol=bad)
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_budget_at_least_one(self, bad):
         with pytest.raises(InputError, match="gradient_budget must be >= 1"):

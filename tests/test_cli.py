@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -229,6 +230,98 @@ class TestMultitask:
             main(["multitask", "--example", "spiral", "--solver", "adagrad", "--out", "x"])
 
 
+def _rate_check(record, lmax="1.0", gamma0="2.0"):
+    return ["rate-check", "--record", str(record), "--lmax", lmax, "--gamma0", gamma0]
+
+
+def _bad_file(tmp_path, name, text):
+    path = tmp_path / "bad" / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(text.encode("latin-1"))  # so "\xff" is a byte that is not UTF-8
+    return path
+
+
+def _edited_summary(edit):
+    """Builder of a rate-check on the solved run's summary after ``edit(row)``."""
+    def build(solved_dir, tmp_path):
+        path = solved_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        edit(summary["records"][0])
+        path.write_text(json.dumps(summary))
+        return _rate_check(path)
+
+    return build
+
+
+def _first_gradient_failure(tmp_path):
+    """Export dir of a run that fails at its first gradient: a header-only CSV."""
+    run = tmp_path / "failed"
+    argv = ["solve", "--problem", "ARWHEAD-VARDIM", "--solver", "adagrad"]
+    assert main([*argv, "--noise", "1e308", "--out", str(run)]) == 0
+    return run
+
+
+# Each bad input: the text its one error line must hold, and a builder of the
+# argv that feeds it, from an adagrad MOP1 export dir and tmp_path.
+_BAD_INPUTS = {
+    "solve_tol_inf": ("criticality_tol", lambda d, tmp: [
+        "solve", "--problem", "ROSENBR-CUBE", "--solver", "descent", "--tol", "inf",
+        "--out", str(tmp / "out"),
+    ]),
+    "profile_tol_1e400": ("config field 'criticality_tol'", lambda d, tmp: [
+        "profile", "--out", str(tmp / "out"), "--config", str(_bad_file(
+            tmp, "c.json", '{"problems": ["ROSENBR-CUBE", "MOP1"], "criticality_tol": 1e400}'
+        )),
+    ]),
+    "lmax_inf": ("l_max", lambda d, tmp: _rate_check(d / "summary.json", lmax="inf")),
+    "lmax_nan": ("l_max", lambda d, tmp: _rate_check(d / "summary.json", lmax="nan")),
+    "gamma0_nan": ("gamma0", lambda d, tmp: _rate_check(d / "summary.json", gamma0="nan")),
+    "gamma0_inf": ("gamma0", lambda d, tmp: _rate_check(d / "summary.json", gamma0="inf")),
+    "truncated_summary": ("bad/summary.json:1: Expecting value", lambda d, tmp: _rate_check(
+        _bad_file(tmp, "summary.json", '{"records": [')
+    )),
+    "summary_without_records": ("bad/summary.json: missing field 'records'", lambda d, tmp: (
+        _rate_check(_bad_file(tmp, "summary.json", "{}"))
+    )),
+    "summary_row_without_config": ("summary.json: missing field 'config'", _edited_summary(
+        lambda row: row.pop("config")
+    )),
+    "csv_without_omega": ("bad.csv: missing field 'omega'", lambda d, tmp: _rate_check(
+        _bad_file(tmp, "bad.csv", "k,x\n0,1\n")
+    )),
+    "empty_csv": ("bad.csv: not a trajectory CSV", lambda d, tmp: _rate_check(
+        _bad_file(tmp, "bad.csv", "")
+    )),
+    "ragged_csv": ("bad.csv: not a trajectory CSV", lambda d, tmp: _rate_check(
+        _bad_file(tmp, "bad.csv", "k,omega\n0,1,2\n")
+    )),
+    "header_only_csv": ("omega is empty", lambda d, tmp: _rate_check(
+        next(_first_gradient_failure(tmp).glob("ARWHEAD-VARDIM__*.csv"))
+    )),
+    "header_only_summary": ("omega is empty", lambda d, tmp: _rate_check(
+        _first_gradient_failure(tmp) / "summary.json"
+    )),
+    "non_number_omega": ("omega must be finite and >= 0, got nan", lambda d, tmp: _rate_check(
+        _bad_file(tmp, "bad.csv", "k,omega\n0,abc\n")
+    )),
+    "summary_without_a_record": ("expected exactly one record, found 0", lambda d, tmp: (
+        _rate_check(_bad_file(tmp, "summary.json", '{"records": []}'))
+    )),
+    "summary_record_not_an_object": ("missing field 'problem'", lambda d, tmp: (
+        _rate_check(_bad_file(tmp, "summary.json", '{"records": [5]}'))
+    )),
+    "summary_noise_rho_text": ("field 'noise_rho' must be a number", _edited_summary(
+        lambda row: row.update(noise_rho="0")
+    )),
+    "binary_summary": ("cannot read", lambda d, tmp: _rate_check(
+        _bad_file(tmp, "summary.json", "\xff")
+    )),
+    "summary_config_not_an_object": ("field 'config' must be an object", _edited_summary(
+        lambda row: row.update(config=[])
+    )),
+}
+
+
 class TestRateCheck:
     @pytest.fixture()
     def solved_dir(self, tmp_path):
@@ -312,6 +405,21 @@ class TestRateCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: varsigma must be a real number, got '0.01'\n"
+
+    @pytest.mark.parametrize("case", list(_BAD_INPUTS))
+    def test_bad_input_is_one_error_line(self, case, solved_dir, tmp_path, capsys):
+        named, build = _BAD_INPUTS[case]
+        argv = build(solved_dir, tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:

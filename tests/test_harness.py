@@ -107,6 +107,12 @@ class TestRateCheck:
             theta_constant(1.0, 1.0, 1.0)
         with pytest.raises(InputError, match="varsigma"):
             theta_constant("0.5", 1.0, 1.0)
+        for l_max in (math.nan, math.inf, "1"):
+            with pytest.raises(InputError, match="l_max must be > 0 and finite"):
+                theta_constant(0.01, l_max, 1.0)
+        for gamma0 in (math.nan, math.inf):
+            with pytest.raises(InputError, match="gamma0 must be a finite real number"):
+                theta_constant(0.01, 1.0, gamma0)
 
     def test_bound_holds_on_quadratic_pair(self):
         p = quadratic_pair()
@@ -302,6 +308,7 @@ class TestConfig:
             ({"problems": "MOP1"}, "config field 'problems': must be a non-empty list"),
             ({"problems": ["MOP1"], "solvers": [["adagrad"]]}, "config field 'solvers'"),
             ({"problems": ["MOP1"], "solvers": "adagrad"}, "config field 'solvers': must be a non-empty list"),
+            ({"problems": ["MOP1"], "criticality_tol": math.inf}, "config field 'criticality_tol'"),
         ],
     )
     def test_invalid_configs_name_the_field(self, cfg, field):

@@ -458,6 +458,8 @@ class TestBruteForce:
     def test_rejects_bad_step(self):
         with pytest.raises(InputError):
             brute_force_min_norm(np.eye(2), grid_step=0.5)
+        with pytest.raises(InputError, match="grid_step must be > 0 and finite"):
+            brute_force_min_norm(np.eye(2), grid_step="0.05")
 
     def test_m4_coarse_grid(self, rng):
         G = rng.normal(size=(4, 3))
