@@ -1,24 +1,21 @@
 """Command-line interface for the experiment harness.
 
 Subcommands mirror the harness operations: ``list-problems``, ``solve``,
-``profile``, ``multitask``, and ``rate-check``.  All outputs are the CSV
-and JSON formats documented in :mod:`mograd.harness`; exit status is 0
-on success and 2 on configuration or runtime errors.
+``profile``, ``multitask``, and ``rate-check``: each parses, calls
+:mod:`mograd.harness`, which owns every file format but the dataset's,
+and prints.  Exit status is 0, or 2 on configuration or runtime errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-import numpy as np
 
 from . import harness, multitask
 from .adagrad import AdagradConfig, SolverConfig
 from .harness import ConfigError
-from .problems import InputError, _is_number
+from .problems import InputError
 from .suite import list_problems
 
 
@@ -61,12 +58,8 @@ def _cmd_profile(args):
     records = harness.run_experiment(args.config)
     _export(records, args.out, "records")
     table = harness.profile_from_records(records)
-    lines = ["tau," + ",".join(table.solvers)]
-    for i, tau in enumerate(table.tau):
-        vals = ",".join(f"{float(table.curves[s][i])!r}" for s in table.solvers)
-        lines.append(f"{float(tau)!r},{vals}")
-    with open(os.path.join(args.out, "profile.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = zip(table.tau.tolist(), *(table.curves[s].tolist() for s in table.solvers))
+    harness._write_table(os.path.join(args.out, "profile.csv"), ["tau", *table.solvers], rows)
     solved = {
         s: float(table.curves[s][-1]) for s in table.solvers
     }
@@ -82,12 +75,9 @@ def _cmd_multitask(args):
     )
     _export([result.record], args.out)
     multitask.to_csv(result.dataset, os.path.join(args.out, "dataset.csv"))
-    lines = ["k,acc1,acc2,min_acc"]
-    for k in sorted(result.test_accuracy):
-        a1, a2, am = result.test_accuracy[k]
-        lines.append(f"{k},{a1!r},{a2!r},{am!r}")
-    with open(os.path.join(args.out, "accuracy.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ((k, *result.test_accuracy[k]) for k in sorted(result.test_accuracy))
+    header = ["k", "acc1", "acc2", "min_acc"]
+    harness._write_table(os.path.join(args.out, "accuracy.csv"), header, rows)
     report = {
         "example": args.example,
         "solver": args.solver,
@@ -98,9 +88,7 @@ def _cmd_multitask(args):
         "objective_evals_at_best": result.evals_at_best[1],
         "wall_time": result.record.wall_time,
     }
-    with open(os.path.join(args.out, "multitask.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    harness._write_json(os.path.join(args.out, "multitask.json"), report)
     print(
         f"{args.example} {args.solver}: best min test accuracy "
         f"{result.best_min_accuracy:.4f} at iteration {result.best_iteration} "
@@ -109,44 +97,11 @@ def _cmd_multitask(args):
     return 0
 
 
-def _field(path, obj, key):
-    """``obj[key]`` of a mapping read from ``path``, or a ConfigError naming both."""
-    if not (isinstance(obj, dict) and key in obj):
-        raise ConfigError(f"{path}: missing field {key!r}")
-    return obj[key]
-
-
-def _load_omega(path, varsigma):
-    """Omega column and varsigma of an exported run.
-
-    A summary names its run's trajectory CSV and carries its varsigma; a
-    bare trajectory CSV takes ``varsigma`` as given.  A missing field or
-    column, or a summary of another shape, is a :class:`ConfigError`.
-    """
-    if not path.endswith(".json"):
-        return _field(path, harness.load_trajectory_csv(path), "omega"), varsigma
-    recs = _field(path, harness.load_summary(path), "records")
-    if not (isinstance(recs, list) and len(recs) == 1):
-        found = len(recs) if isinstance(recs, list) else repr(recs)
-        raise ConfigError(f"{path}: expected exactly one record, found {found}")
-    row = recs[0]
-    cell = [_field(path, row, key) for key in ("problem", "solver", "seed", "noise_rho")]
-    if not _is_number(cell[-1]):
-        raise ConfigError(f"{path}: field 'noise_rho' must be a number, got {cell[-1]!r}")
-    config = _field(path, row, "config")
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: field 'config' must be an object, got {config!r}")
-    csv_path = os.path.join(os.path.dirname(path), harness._stem(*cell) + ".csv")
-    omega = _field(csv_path, harness.load_trajectory_csv(csv_path), "omega")
-    return omega, config.get("varsigma")
-
-
 def _cmd_rate_check(args):
-    omega, varsigma = _load_omega(args.record, args.varsigma)
+    omega, varsigma = harness._load_omega(args.record, args.varsigma)
     report = harness._rate_report(omega, varsigma, args.lmax, args.gamma0)
-    worst = float(np.max(report.running_avg * np.arange(1, len(report.running_avg) + 1)))
     print(f"theta = {report.theta:g}")
-    print(f"max cumulative omega = {worst:g}")
+    print(f"max cumulative omega = {report.omega_sum:g}")
     print(f"bound holds at every iteration: {report.holds}")
     return 0
 

@@ -4,7 +4,7 @@ The harness owns everything the solvers should not know about: budget
 cost in the gradient-evaluation currency (objective calls charged at
 1/n), Dolan-More performance profiles on a log10 scale, the running
 average bound check for the adaptive solver, noise-robustness distance
-tables, declarative experiment configs, and CSV/JSON export.
+tables, declarative experiment configs, and every file format but a dataset's.
 """
 
 from __future__ import annotations
@@ -120,6 +120,7 @@ class RateReport:
     running_avg: np.ndarray
     bound: np.ndarray
     holds: bool
+    omega_sum: float  # sum of omega, the smallest theta the run satisfies
 
 
 def theta_constant(varsigma, l_max, gamma0):
@@ -128,11 +129,22 @@ def theta_constant(varsigma, l_max, gamma0):
     if not (_is_number(gamma0) and -math.inf < gamma0 < math.inf):
         raise InputError(f"gamma0 must be a finite real number, got {gamma0!r}")
     AdagradConfig(varsigma=varsigma)  # the one varsigma check
-    return max(
-        varsigma,
-        0.5 * varsigma * math.exp(2.0 * gamma0 / l_max),
-        2048.0 * l_max**4 / varsigma,
-    )
+    exponent = 2.0 * gamma0 / l_max
+    try:
+        gap_term = 0.5 * varsigma * math.exp(exponent)
+    except OverflowError:  # e^exponent is beyond the float range; the term may not be
+        half = _inf_on_overflow(lambda: math.exp(exponent / 2))
+        gap_term = 0.5 * varsigma * half * half  # a float product overflows to inf
+    smooth_term = _inf_on_overflow(lambda: 2048.0 * l_max**4 / varsigma)
+    return max(varsigma, gap_term, smooth_term)
+
+
+def _inf_on_overflow(compute):
+    """``compute()``, or inf if its value is beyond the float range."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
 
 
 def rate_check(record, l_max, gamma0):
@@ -163,9 +175,10 @@ def _rate_report(omega, varsigma, l_max, gamma0):
         i = int(bad[0])
         raise ConfigError(f"omega must be finite and >= 0, got {float(omega[i])!r} at row {i}")
     k = np.arange(1, len(omega) + 1)
-    running = np.cumsum(omega) / k
+    cumsum = np.cumsum(omega)
+    running = cumsum / k
     bound = theta / k
-    return RateReport(theta, running, bound, bool(np.all(running <= bound)))
+    return RateReport(theta, running, bound, bool(np.all(running <= bound)), float(cumsum[-1]))
 
 
 def _check_problem(name):
@@ -429,21 +442,17 @@ def export(records, format, path):
             shared = next(s for s in stems if stems.count(s) > 1)
             raise InputError(f"two records export to one trajectory file, {shared}.csv")
         os.makedirs(path, exist_ok=True)
-        trajectory_header = ",".join(["k", *(csv for _, csv, _ in TRAJECTORY_COLUMNS)])
+        trajectory_header = ["k", *(csv for _, csv, _ in TRAJECTORY_COLUMNS)]
         index_rows = []
         for r, stem in zip(records, stems):
             t = r.trajectory
             columns = [getattr(t, name).tolist() for name, _, _ in TRAJECTORY_COLUMNS]
-            rows = (",".join(map(repr, row)) for row in zip(range(len(t)), *columns))
-            with open(os.path.join(path, stem + ".csv"), "w") as fh:
-                fh.write("\n".join([trajectory_header, *rows]) + "\n")
-            index_rows.append(
-                f"{stem}.csv,{r.problem},{r.solver},{r.seed},"
-                f"{_rho_text(r.noise_rho)},{r.status.value},{budget_cost(r)!r}"
-            )
-        header = "file,problem,solver,seed,noise_rho,status,cost"
-        with open(os.path.join(path, "index.csv"), "w") as fh:
-            fh.write("\n".join([header] + index_rows) + "\n")
+            rows = zip(range(len(t)), *columns)
+            _write_table(os.path.join(path, stem + ".csv"), trajectory_header, rows)
+            index_rows.append((f"{stem}.csv", r.problem, r.solver, str(r.seed),
+                               _rho_text(r.noise_rho), r.status.value, budget_cost(r)))
+        header = ["file", "problem", "solver", "seed", "noise_rho", "status", "cost"]
+        _write_table(os.path.join(path, "index.csv"), header, index_rows)
     elif format == "json":
         payload = {
             "records": [
@@ -451,11 +460,26 @@ def export(records, format, path):
                 for r in records
             ]
         }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(path, payload)
     else:
         raise InputError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def _write_table(path, header, rows):
+    """Write a CSV, LF-ended: each number by ``repr`` (exact on reading back), text as is.
+
+    Pass numpy values as ``.tolist()``, since numpy 2's ``repr`` names the type.
+    """
+    lines = (",".join([c if type(c) is str else repr(c) for c in row]) for row in rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
+
+
+def _write_json(path, payload):
+    """Write ``payload`` as JSON: indent 2, sorted keys, numpy scalars as Python values."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar)
+    with open(path, "w") as fh:  # opened once the payload encodes
+        fh.write(text + "\n")
 
 
 def _json_scalar(value):
@@ -491,3 +515,35 @@ def load_trajectory_csv(path):
             raise ConfigError(f"{path}: not a trajectory CSV: {reason}") from exc
     data = np.atleast_1d(data)
     return {name: np.asarray(data[name]) for name in data.dtype.names}
+
+
+def _field(path, obj, key):
+    """``obj[key]`` of a mapping read from ``path``, or a ConfigError naming both."""
+    if not (isinstance(obj, dict) and key in obj):
+        raise ConfigError(f"{path}: missing field {key!r}")
+    return obj[key]
+
+
+def _load_omega(path, varsigma):
+    """Omega column and varsigma of an exported run.
+
+    A summary names its run's trajectory CSV and carries its varsigma; a
+    bare trajectory CSV takes ``varsigma`` as given.  A missing field or
+    column, or a summary of another shape, is a :class:`ConfigError`.
+    """
+    if not path.endswith(".json"):
+        return _field(path, load_trajectory_csv(path), "omega"), varsigma
+    recs = _field(path, load_summary(path), "records")
+    if not (isinstance(recs, list) and len(recs) == 1):
+        found = len(recs) if isinstance(recs, list) else repr(recs)
+        raise ConfigError(f"{path}: expected exactly one record, found {found}")
+    row = recs[0]
+    cell = [_field(path, row, key) for key in ("problem", "solver", "seed", "noise_rho")]
+    if not _is_number(cell[-1]):
+        raise ConfigError(f"{path}: field 'noise_rho' must be a number, got {cell[-1]!r}")
+    config = _field(path, row, "config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: field 'config' must be an object, got {config!r}")
+    csv_path = os.path.join(os.path.dirname(path), _stem(*cell) + ".csv")
+    omega = _field(csv_path, load_trajectory_csv(csv_path), "omega")
+    return omega, config.get("varsigma")

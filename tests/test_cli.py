@@ -230,6 +230,36 @@ class TestMultitask:
             main(["multitask", "--example", "spiral", "--solver", "adagrad", "--out", "x"])
 
 
+class TestTableFormats:
+    """The bytes of the tables ``profile`` and ``multitask`` write beside the export."""
+
+    @staticmethod
+    def _lf_lines(path):
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+        return data.decode().splitlines()
+
+    def test_profile_and_multitask_tables(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"problems": ["MOP1", "T2"], "budget": 200}))
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        argv = ["multitask", "--example", "quadrants", "--solver", "adagrad",
+                "--iters", "4", "--out", str(tmp_path / "m")]
+        assert main(argv) == 0
+
+        for row in self._lf_lines(tmp_path / "p" / "profile.csv")[1:]:
+            for cell in row.split(","):
+                assert repr(float(cell)) == cell
+        for row in self._lf_lines(tmp_path / "m" / "accuracy.csv")[1:]:
+            k, *accuracies = row.split(",")
+            assert repr(int(k)) == k
+            for cell in accuracies:
+                assert repr(float(cell)) == cell
+        text = (tmp_path / "m" / "multitask.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def _rate_check(record, lmax="1.0", gamma0="2.0"):
     return ["rate-check", "--record", str(record), "--lmax", lmax, "--gamma0", gamma0]
 
@@ -405,6 +435,24 @@ class TestRateCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: varsigma must be a real number, got '0.01'\n"
+
+    @pytest.mark.parametrize("lmax, gamma0", [("1", "1000"), ("1e100", "1")])
+    def test_theta_beyond_float_range_is_inf(self, solved_dir, capsys, lmax, gamma0):
+        capsys.readouterr()
+        assert main(_rate_check(solved_dir / "summary.json", lmax, gamma0)) == 0
+        captured = capsys.readouterr()
+        assert "theta = inf\n" in captured.out
+        assert "bound holds at every iteration: True" in captured.out
+        assert captured.err == ""
+
+    def test_sum_line_is_the_report_omega_sum(self, solved_dir, capsys):
+        csv_path = next(solved_dir.glob("MOP1__*.csv"))
+        omega = harness.load_trajectory_csv(csv_path)["omega"]
+        report = harness._rate_report(omega, 0.01, 1.0, 2.0)
+        capsys.readouterr()
+        assert main(_rate_check(csv_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"max cumulative omega = {report.omega_sum:g}"
 
     @pytest.mark.parametrize("case", list(_BAD_INPUTS))
     def test_bad_input_is_one_error_line(self, case, solved_dir, tmp_path, capsys):

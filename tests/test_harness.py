@@ -137,6 +137,32 @@ class TestRateCheck:
         with pytest.raises(ConfigError, match="varsigma"):
             rate_check(rec, l_max=1.0, gamma0=1.0)
 
+    @pytest.mark.parametrize(
+        "l_max, gamma0, theta",
+        [
+            (1.0, 1000.0, math.inf),  # (s/2) e^2000 is beyond the float range
+            (1e100, 1.0, math.inf),  # so is 2048 L^4 / s
+            # e^712 overflows, but (s/2) e^712 does not.
+            (1.0, 356.0, pytest.approx(8.2535563259431715e306, rel=1e-14)),
+        ],
+        ids=["exp_term", "l_max_term", "exp_overflows_term_finite"],
+    )
+    def test_theta_beyond_float_range(self, l_max, gamma0, theta):
+        assert theta_constant(0.01, l_max, gamma0) == theta
+
+    @pytest.mark.parametrize("problem", ["quadratic_pair", "MOP1"])
+    def test_omega_sum_is_the_weight_recursion(self, problem):
+        if problem == "quadratic_pair":
+            rec = run_adagrad(quadratic_pair(), x0=np.array([0.0, 1.0]))
+        else:
+            rec = run_cell(problem, "adagrad")
+        report = rate_check(rec, l_max=1.0, gamma0=1.0)
+        t = rec.trajectory
+        assert report.omega_sum == np.cumsum(t.omega)[-1]
+        # w_K^2 = varsigma + the sum of omega over the run.
+        weight_sum = t.scale[-1] ** 2 - rec.config["varsigma"]
+        assert report.omega_sum == pytest.approx(weight_sum, rel=1e-12)
+
 
 class TestRunCell:
     def test_fields_and_determinism(self):
