@@ -26,6 +26,7 @@ from .problems import (
     NoiseSpec,
     _check_positive,
     _check_seed,
+    _is_finite_number,
     _is_int,
     _is_number,
     wrap_noisy,
@@ -126,7 +127,7 @@ class RateReport:
 def theta_constant(varsigma, l_max, gamma0):
     """The rate constant max{s, (s/2)e^(2 Gamma0 / L), 2048 L^4 / s}."""
     _check_positive(l_max, "l_max")
-    if not (_is_number(gamma0) and -math.inf < gamma0 < math.inf):
+    if not _is_finite_number(gamma0):
         raise InputError(f"gamma0 must be a finite real number, got {gamma0!r}")
     AdagradConfig(varsigma=varsigma)  # the one varsigma check
     exponent = 2.0 * gamma0 / l_max

@@ -55,6 +55,20 @@ def _is_number(value):
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
+def _is_finite_number(value):
+    """True for a number as in :func:`_is_number` that is finite as a float.
+
+    A Python int beyond the float range is not: it compares below
+    ``math.inf``, but converting it raises ``OverflowError``.
+    """
+    if not _is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_seed(seed):
     """Raise :class:`InputError` unless ``seed`` is an int >= 0 (not a bool)."""
     if not (_is_int(seed) and seed >= 0):
@@ -63,7 +77,7 @@ def _check_seed(seed):
 
 def _check_positive(value, name):
     """Raise :class:`InputError` unless ``value`` is a finite number > 0."""
-    if not (_is_number(value) and 0 < value < math.inf):
+    if not (_is_finite_number(value) and value > 0):
         raise InputError(f"{name} must be > 0 and finite, got {value!r}")
 
 
@@ -263,7 +277,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_number(self.rho) and np.isfinite(self.rho) and self.rho >= 0):
+        if not (_is_finite_number(self.rho) and self.rho >= 0):
             raise InputError(
                 f"noise level must be a finite number >= 0, got {self.rho!r}"
             )

@@ -31,7 +31,10 @@ class ConfigContract:
         with pytest.raises(InputError, match="criticality_tol must be > 0"):
             self.config(criticality_tol=0.0)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    # An int compares below inf however large, but is not finite as a float.
+    @pytest.mark.parametrize(
+        "bad", [np.inf, np.nan, pytest.param(10**400, id="int_beyond_float")]
+    )
     def test_tol_finite(self, bad):
         with pytest.raises(InputError, match="criticality_tol must be > 0 and finite"):
             self.config(criticality_tol=bad)

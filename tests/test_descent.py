@@ -16,13 +16,17 @@ from mograd import (
     InputError,
     LineSearchError,
     MultiObjectiveProblem,
+    NoiseSpec,
     RunStatus,
     armijo_backtrack,
+    as_problem,
+    generate_dataset,
     get_problem,
     quadratic_pair,
     random_start,
     run_descent,
     solve_direction,
+    wrap_noisy,
 )
 from mograd.descent import MIN_STEP
 
@@ -36,6 +40,21 @@ def _bowl():
         return np.stack([x, x])
 
     return MultiObjectiveProblem("BOWL", 2, 2, (1.0, 0.0), objectives, jac)
+
+
+def _array_rule_search(p, x, g_s, grads, beta):
+    """The line search with the m-vector test (candidate <= fx - t * margin).all()."""
+    with np.errstate(all="ignore"):
+        margin = beta * grads.dot(g_s)
+        fx = p.evaluate(x)
+        t, used = 1.0, 1
+        while t >= MIN_STEP:
+            used += 1
+            point = x - t * g_s
+            if (p.evaluate(point) <= fx - t * margin).all():
+                return t, used, point
+            t *= 0.5
+    raise LineSearchError("no step accepted")
 
 
 class TestArmijo:
@@ -190,6 +209,84 @@ class TestArmijo:
             return t, used
 
         assert outcome(armijo_backtrack) == outcome(textbook)
+
+    def test_scalar_rule_is_the_array_rule(self):
+        # armijo_backtrack tests each objective in Python floats.  At every
+        # t = 2^-k it reaches, its decision must be the array test's, so both
+        # searches end alike: ties at the threshold, -0.0, a margin of +inf
+        # or -inf from an overflowing grads . g_s, subnormal products, and a
+        # NaN margin, since a public call's grads are not checked.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, -1e300])
+        value = st.one_of(edges, st.floats(allow_nan=False, allow_infinity=False))
+        slope = st.one_of(edges, st.floats())
+
+        @st.composite
+        def searches(draw):
+            m = draw(st.integers(1, 5))
+            fx = draw(st.lists(value, min_size=m, max_size=m))
+            grads = np.array(draw(st.lists(slope, min_size=2 * m, max_size=2 * m)))
+            s = draw(st.sampled_from([1.0, 1e10, 2.0**-60]))
+            beta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+            # Some objectives sit exactly on their threshold at t = 2^-k.
+            t = 2.0 ** -draw(st.integers(0, 50))
+            with np.errstate(all="ignore"):
+                ties = np.array(fx) - t * (beta * grads.reshape(m, 2).dot([s, s]))
+            candidate = [
+                c if draw(st.booleans()) and math.isfinite(c) else draw(value) for c in ties
+            ]
+            return fx, grads.reshape(m, 2).tolist(), s, beta, candidate
+
+        # (fx, grads, s, beta, candidate); the second objective accepts at t = 2^-34.
+        inf_margin = ([0.0, 0.0], [[1e300, 1e300], [1.0, 1.0]], 1e10, 0.5, [-1.0, -1.0])
+        nan_margin = ([0.0, 0.0], [[math.nan, 0.0], [1.0, 1.0]], 1e10, 0.5, [-1.0, -1.0])
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+        @hypothesis.given(case=searches())
+        @hypothesis.example(case=([1.0], [[1.0, 1.0]], 1.0, 0.5, [0.0]))  # a tie at t = 1
+        @hypothesis.example(case=([1.0], [[1.0, 1.0]], 1.0, 0.5, [-0.0]))
+        @hypothesis.example(case=([-0.0], [[0.0, -0.0]], 1.0, 0.5, [0.0]))
+        @hypothesis.example(case=inf_margin)
+        @hypothesis.example(case=nan_margin)
+        @hypothesis.example(case=([0.0], [[-1e300, -1e300]], 1e10, 0.5, [1e300]))  # -inf
+        @hypothesis.example(case=([0.0], [[1e-300, 0.0]], 2.0**-60, 0.5, [-5e-324]))  # subnormal
+        def check(case):
+            fx, grads, s, beta, candidate = map(np.array, case)
+            g_s = np.array([s, s])
+            p = MultiObjectiveProblem(
+                "RULE", 2, len(fx), [0.0, 0.0], lambda x: candidate if x.any() else fx, None
+            )
+
+            def outcome(search):
+                try:
+                    t, used, point = search(p, np.zeros(2), g_s, grads, beta)
+                except LineSearchError:
+                    return "stalled"
+                return t, used, point.tobytes()
+
+            assert outcome(armijo_backtrack) == outcome(_array_rule_search)
+
+        check()
+
+    @pytest.mark.parametrize("oracle", ["noisy", "multitask"])
+    def test_matches_array_rule_on_wrapped_oracles(self, oracle):
+        # Oracles the catalog comparison does not reach.  Each side builds a
+        # fresh noisy wrap, so both draw the same noise stream; the multitask
+        # direction is stretched so that the line search backtracks.
+        def outcome(search):
+            if oracle == "noisy":
+                p, stretch = wrap_noisy(get_problem("ROSENBR-CUBE"), NoiseSpec(0.05, 3)), 1.0
+            else:
+                p, stretch = as_problem(generate_dataset("quadrants", N=200, seed=0)), 100.0
+            x = p.standard_start.copy()
+            grads = p.jacobian(x)
+            g_s = stretch * solve_direction(grads).gradient
+            t, used, point = search(p, x, g_s, grads, 0.1)
+            assert t < 1.0
+            return t, used, point.tobytes(), p.counters
+
+        assert outcome(armijo_backtrack) == outcome(_array_rule_search)
 
 
 class TestConfig(ConfigContract):

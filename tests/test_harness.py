@@ -107,10 +107,10 @@ class TestRateCheck:
             theta_constant(1.0, 1.0, 1.0)
         with pytest.raises(InputError, match="varsigma"):
             theta_constant("0.5", 1.0, 1.0)
-        for l_max in (math.nan, math.inf, "1"):
+        for l_max in (math.nan, math.inf, "1", 10**400):
             with pytest.raises(InputError, match="l_max must be > 0 and finite"):
                 theta_constant(0.01, l_max, 1.0)
-        for gamma0 in (math.nan, math.inf):
+        for gamma0 in (math.nan, math.inf, 10**400):
             with pytest.raises(InputError, match="gamma0 must be a finite real number"):
                 theta_constant(0.01, 1.0, gamma0)
 
@@ -149,6 +149,10 @@ class TestRateCheck:
     )
     def test_theta_beyond_float_range(self, l_max, gamma0, theta):
         assert theta_constant(0.01, l_max, gamma0) == theta
+
+    def test_int_within_float_range_accepted(self):
+        assert theta_constant(0.01, 10**300, 1) == math.inf
+        assert theta_constant(0.01, 1, -(10**300)) == 204800.0
 
     @pytest.mark.parametrize("problem", ["quadratic_pair", "MOP1"])
     def test_omega_sum_is_the_weight_recursion(self, problem):

@@ -243,6 +243,10 @@ class TestNoiseWrapper:
         with pytest.raises(InputError, match="noise level"):
             NoiseSpec(rho=bad)
 
+    def test_int_rho_beyond_float_range_rejected(self):
+        with pytest.raises(InputError, match="noise level"):
+            NoiseSpec(rho=10**400)
+
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(InputError, match="seed must be an int >= 0"):
