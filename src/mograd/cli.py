@@ -56,7 +56,7 @@ def _cmd_solve(args):
 
 def _cmd_profile(args):
     records = harness.run_experiment(args.config)
-    _export(records, args.out, "records")
+    _export(records, args.out, harness.PROFILE_RECORDS)
     table = harness.profile_from_records(records)
     rows = zip(table.tau.tolist(), *(table.curves[s].tolist() for s in table.solvers))
     harness._write_table(os.path.join(args.out, "profile.csv"), ["tau", *table.solvers], rows)

@@ -46,8 +46,13 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     :class:`LineSearchError` once t would fall below ``MIN_STEP``, and
     :class:`EvaluationOverflowError` if the first candidate ``x - g_s`` is
     non-finite; every later candidate lies between ``x`` and that point.
-    A public call checks ``x`` and ``g_s``, a finite nonzero direction,
-    and runs in a ``run_scope`` of its own.
+    A public call checks ``x``, ``g_s`` (a finite nonzero direction of
+    shape (n,)), ``grads`` (finite, of shape (m, n)) and ``beta`` (as
+    :class:`DescentConfig` does), raising :class:`InputError` before any
+    evaluation, and runs in a ``run_scope`` of its own.  A margin
+    ``beta * grads . g_s`` with a non-finite entry is taken again in units
+    of max|grads|, so that a slope the float range holds (one whose
+    products cancel, say) is not read as -inf.
 
     A candidate is accepted when ``c <= f - t * mg`` holds for every
     objective, in Python floats: the IEEE double operations of the array
@@ -59,14 +64,24 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
         with run_scope():
             x = _check_x(problem, x)
             g_s = np.asarray(g_s, dtype=float)
-            if not np.isfinite(g_s).all() or not g_s.any():
-                raise InputError("line search requires a finite nonzero direction")
-            return armijo_backtrack(problem, x, g_s, np.asarray(grads, dtype=float), beta)
+            m, n = problem.m, problem.n
+            if g_s.shape != (n,) or not np.isfinite(g_s).all() or not g_s.any():
+                raise InputError(f"line search needs a finite nonzero direction of shape ({n},)")
+            grads = np.asarray(grads, dtype=float)
+            if grads.shape != (m, n):
+                raise InputError(f"grads have shape {grads.shape}, expected ({m}, {n})")
+            if not np.isfinite(grads).all():
+                raise InputError("grads contain non-finite entries")
+            DescentConfig(beta=beta)  # the one beta check
+            return armijo_backtrack(problem, x, g_s, grads, beta)
     # In a run, the driver searches only along a finite direction with
-    # omega above tol^2, so g_s is finite and nonzero.
+    # omega above tol^2, so g_s is finite and nonzero, and grads is finite.
     # t is a power of two, so t * (beta * slopes) is beta * t * slopes bit
     # for bit unless a product is subnormal.
     margin = (beta * grads.dot(g_s)).tolist()
+    if not all(map(math.isfinite, margin)):
+        top = float(np.abs(grads).max())
+        margin = (beta * (grads / top).dot(g_s) * top).tolist()
     fx = problem.evaluate(x).tolist()
     point = x - g_s
     if not _finite(point):

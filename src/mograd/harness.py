@@ -36,6 +36,10 @@ from .suite import CATALOG, random_start
 
 SOLVERS = ("adagrad", "descent")
 
+# The subdirectory of a profile export's trajectory CSVs; a solve or a
+# multitask export writes its CSV beside its summary.
+PROFILE_RECORDS = "records"
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field or line."""
@@ -188,16 +192,19 @@ def _check_problem(name):
         raise ConfigError(f"unknown problem {name!r}")
 
 
-def _solver_config(solver, budget, criticality_tol, varsigma, beta, thin):
-    """``solver``'s config; ``thin=None`` means max(1, budget // 10 000)."""
+def _solver(solver, budget, criticality_tol, varsigma, beta, thin):
+    """``solver``'s runner and config; ``thin=None`` means max(1, budget // 10 000).
+
+    The runner is read from this module's globals per call: perfbench patches them.
+    """
     if thin is None:
         # A budget that is not an int gets its InputError from the config.
         thin = max(1, budget // 10_000) if _is_int(budget) else 1
     shared = dict(criticality_tol=criticality_tol, gradient_budget=budget, thin=thin)
     if solver == "adagrad":
-        return AdagradConfig(varsigma=varsigma, **shared)
+        return run_adagrad, AdagradConfig(varsigma=varsigma, **shared)
     if solver == "descent":
-        return DescentConfig(beta=beta, **shared)
+        return run_descent, DescentConfig(beta=beta, **shared)
     raise ConfigError(f"unknown solver {solver!r}; valid: {SOLVERS}")
 
 
@@ -210,13 +217,6 @@ _CELL_DEFAULTS = {
     "criticality_tol": SolverConfig.criticality_tol,
     "thin": None,
 }
-
-
-def _run_solver(solver, problem, x0, seed, **params):
-    """Build ``solver``'s config and run it through this module's runner names."""
-    config = _solver_config(solver, **{**_CELL_DEFAULTS, **params})
-    run = run_adagrad if solver == "adagrad" else run_descent
-    return run(problem, x0, config, seed=seed)
 
 
 def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
@@ -238,7 +238,8 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
         x0 = random_start(problem, seed)
     if spec.rho != 0:
         problem = wrap_noisy(problem, spec)
-    return _run_solver(solver, problem, x0, seed, **params)
+    run, config = _solver(solver, **{**_CELL_DEFAULTS, **params})
+    return run(problem, x0, config, seed=seed)
 
 
 _CONFIG_DEFAULTS = {
@@ -252,7 +253,7 @@ _CONFIG_DEFAULTS = {
 # The list fields of a config, each with the check that its every item passes.
 _LIST_CHECKS = {
     "problems": _check_problem,
-    "solvers": lambda solver: _solver_config(solver, **_CELL_DEFAULTS),
+    "solvers": lambda solver: _solver(solver, **_CELL_DEFAULTS),
     "seeds": _check_seed,
     "noise": NoiseSpec,
 }
@@ -262,7 +263,7 @@ def _check_field(field, value):
     """Check each item of a list field, or a cell parameter in every solver's config."""
     if field in _CELL_DEFAULTS:
         for solver in SOLVERS:
-            _solver_config(solver, **{**_CELL_DEFAULTS, field: value})
+            _solver(solver, **{**_CELL_DEFAULTS, field: value})
         return
     if not (isinstance(value, list) and value):
         raise ConfigError(f"must be a non-empty list, got {value!r}")
@@ -395,10 +396,9 @@ def run_multitask(kind, solver, iters=1000, seed=0, N=10_000):
     counters.
     """
     dataset = multitask.generate_dataset(kind, N=N, seed=seed)
-    problem = multitask.as_problem(dataset)
-    record = _run_solver(
-        solver, problem, None, seed, budget=iters, criticality_tol=1e-12, thin=1
-    )
+    cell = {**_CELL_DEFAULTS, "budget": iters, "criticality_tol": 1e-12, "thin": 1}
+    run, config = _solver(solver, **cell)
+    record = run(multitask.as_problem(dataset), None, config, seed=seed)
 
     accs = {}
     best = (-1.0, -1)
@@ -528,8 +528,9 @@ def _field(path, obj, key):
 def _load_omega(path, varsigma):
     """Omega column and varsigma of an exported run.
 
-    A summary names its run's trajectory CSV and carries its varsigma; a
-    bare trajectory CSV takes ``varsigma`` as given.  A missing field or
+    A summary names its run's trajectory CSV, beside it or in its
+    ``PROFILE_RECORDS`` subdirectory, and carries its varsigma; a bare
+    trajectory CSV takes ``varsigma`` as given.  A missing field or
     column, or a summary of another shape, is a :class:`ConfigError`.
     """
     if not path.endswith(".json"):
@@ -545,6 +546,9 @@ def _load_omega(path, varsigma):
     config = _field(path, row, "config")
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: field 'config' must be an object, got {config!r}")
-    csv_path = os.path.join(os.path.dirname(path), _stem(*cell) + ".csv")
+    here, name = os.path.dirname(path), _stem(*cell) + ".csv"
+    csv_path, nested = os.path.join(here, name), os.path.join(here, PROFILE_RECORDS, name)
+    if not os.path.exists(csv_path) and os.path.exists(nested):
+        csv_path = nested
     omega = _field(csv_path, load_trajectory_csv(csv_path), "omega")
     return omega, config.get("varsigma")

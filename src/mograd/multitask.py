@@ -104,6 +104,19 @@ def circle_label(points):
     return (np.einsum("ij,ij->i", points, points) < 1.0).astype(int)
 
 
+def _check_kind(kind):
+    """Raise :class:`InputError` unless ``kind`` is one of ``KINDS``."""
+    if kind not in KINDS:
+        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _dataset(kind, seed, points, labels1, labels2, train_idx, test_idx):
+    """The dataset of ``points``, their labels and split as arrays, and ``kind``'s features."""
+    points = np.asarray(points, dtype=float)
+    ints = (np.asarray(a, dtype=int) for a in (labels1, labels2, train_idx, test_idx))
+    return Dataset(kind, seed, points, _features(kind, points), *ints)
+
+
 def _features(kind, points):
     x1, x2 = points[:, 0], points[:, 1]
     ones = np.ones(len(points))
@@ -118,8 +131,7 @@ def generate_dataset(kind, N=10_000, seed=0):
     Deterministic from the seed: the generator first draws the N points,
     then the permutation defining the split.
     """
-    if kind not in KINDS:
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     if not (_is_int(N) and N >= 10):
         raise InputError(f"N must be an int >= 10, got {N!r}")
     _check_seed(seed)
@@ -131,15 +143,9 @@ def generate_dataset(kind, N=10_000, seed=0):
         labels1 = quadrant_label(points)
     else:
         labels1 = (points[:, 0] * points[:, 1] >= 0).astype(int)
-    return Dataset(
-        kind=kind,
-        seed=seed,
-        points=points,
-        features=_features(kind, points),
-        labels_task1=labels1,
-        labels_task2=circle_label(points),
-        train_idx=np.sort(perm[:n_train]),
-        test_idx=np.sort(perm[n_train:]),
+    return _dataset(
+        kind, seed, points, labels1, circle_label(points),
+        np.sort(perm[:n_train]), np.sort(perm[n_train:]),
     )
 
 
@@ -360,8 +366,7 @@ def from_csv(path, kind, seed=0):
     naming the line of a row whose split is not ``train`` or ``test``, whose
     label is not one of its task's classes, or whose coordinate is not a number.
     """
-    if kind not in KINDS:
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     _check_seed(seed)
     classes1 = range(1, 5) if kind == "quadrants" else range(2)
     points, labels1, labels2 = [], [], []
@@ -387,14 +392,4 @@ def from_csv(path, kind, seed=0):
             labels1.append(label1)
             labels2.append(label2)
             splits[row["split"]].append(i)
-    points = np.asarray(points)
-    return Dataset(
-        kind=kind,
-        seed=seed,
-        points=points,
-        features=_features(kind, points),
-        labels_task1=np.asarray(labels1, dtype=int),
-        labels_task2=np.asarray(labels2, dtype=int),
-        train_idx=np.asarray(splits["train"], dtype=int),
-        test_idx=np.asarray(splits["test"], dtype=int),
-    )
+    return _dataset(kind, seed, points, labels1, labels2, splits["train"], splits["test"])

@@ -31,6 +31,9 @@ class UnsupportedSizeError(InputError):
     """Instance is larger than the routine is designed to handle."""
 
 
+# The default tolerance of the min-norm stopping test, and of the solvers' configs.
+DEFAULT_TOL = 1e-10
+
 # Active-set steps per objective after which min_norm_element takes itself
 # to be cycling.  Exact arithmetic never reaches it; rounding can, when tol
 # asks for more precision than the Gram matrix carries.
@@ -195,7 +198,7 @@ def _affine_minimizer(M):
     return np.linalg.lstsq(A, rhs, rcond=None)[0][:k]
 
 
-def min_norm_element(G, tol=1e-10):
+def min_norm_element(G, tol=DEFAULT_TOL):
     """Minimize ||G^T lam||^2 over the unit simplex by Wolfe's method.
 
     Wolfe's min-norm-point algorithm (P. Wolfe, "Finding the nearest point
@@ -258,7 +261,7 @@ def min_norm_element(G, tol=1e-10):
     )
 
 
-def solve_direction(G, tol=1e-10):
+def solve_direction(G, tol=DEFAULT_TOL):
     """Subproblem route used inside the solvers.
 
     Two objectives take the exact closed form; larger instances run

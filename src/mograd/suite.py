@@ -185,17 +185,23 @@ PAIR_NAMES = [
 ]
 
 
-def make_regularized(p):
-    """Bi-objective instance f_1 = p, f_2 = ||x||^2, started at p's start."""
+def _pair(name, n, start, f1, g1, f2, g2):
+    """The problem (f1, f2) in n variables, with gradient rows (g1, g2)."""
 
     def objectives(x):
-        return np.array([p.value(x), float(x.dot(x))])
+        return np.array([f1(x), f2(x)])
 
     def jac(x):
-        return np.array([p.gradient(x), 2.0 * x])
+        return np.array([g1(x), g2(x)])
 
-    return MultiObjectiveProblem(
-        f"{p.name}-L2", p.n, 2, p.standard_start, objectives, jac
+    return MultiObjectiveProblem(name, n, 2, start, objectives, jac)
+
+
+def make_regularized(p):
+    """Bi-objective instance f_1 = p, f_2 = ||x||^2, started at p's start."""
+    return _pair(
+        f"{p.name}-L2", p.n, p.standard_start, p.value, p.gradient,
+        lambda x: float(x.dot(x)), lambda x: 2.0 * x,
     )
 
 
@@ -206,15 +212,8 @@ def make_pair(p1, p2):
             f"cannot pair {p1.name} (n={p1.n}) with {p2.name} (n={p2.n})"
         )
     start = (np.asarray(p1.standard_start) + np.asarray(p2.standard_start)) / 2.0
-
-    def objectives(x):
-        return np.array([p1.value(x), p2.value(x)])
-
-    def jac(x):
-        return np.array([p1.gradient(x), p2.gradient(x)])
-
-    return MultiObjectiveProblem(
-        f"{p1.name}-{p2.name}", p1.n, 2, start, objectives, jac
+    return _pair(
+        f"{p1.name}-{p2.name}", p1.n, start, p1.value, p1.gradient, p2.value, p2.gradient
     )
 
 
@@ -228,15 +227,10 @@ def quadratic_pair(a=(1.0, 0.0), b=(-1.0, 0.0)):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-
-    def objectives(x):
-        return 0.5 * np.array([(x - a) @ (x - a), (x - b) @ (x - b)])
-
-    def jac(x):
-        return np.vstack([x - a, x - b])
-
-    problem = MultiObjectiveProblem(
-        "QUADPAIR", a.size, 2, (a + b) / 2.0, objectives, jac
+    problem = _pair(
+        "QUADPAIR", a.size, (a + b) / 2.0,
+        lambda x: 0.5 * ((x - a) @ (x - a)), lambda x: x - a,
+        lambda x: 0.5 * ((x - b) @ (x - b)), lambda x: x - b,
     )
     problem.l_max = 1.0
     problem.phi_low = float((a - b) @ (a - b)) / 8.0

@@ -18,7 +18,6 @@ from mograd import (
     quadratic_pair,
     run_adagrad,
 )
-from mograd.adagrad import _drive
 
 
 class TestStep:
@@ -176,25 +175,6 @@ class TestRun(RunContract):
         rec = run_adagrad(p, config=AdagradConfig(gradient_budget=10))
         assert rec.status == RunStatus.FAILED
         assert rec.failure_reason is not None
-
-    def test_nonfinite_step_fails_with_a_nan_row(self):
-        # A step rule that leaves the float range on its third step.
-        def step(x, G, sol, critical):
-            steps.append(x)
-            if len(steps) == 3:
-                return 1.0, np.array([np.inf, 0.0])
-            return 0.5, x - 0.5 * sol.gradient
-
-        steps = []
-        p = quadratic_pair()
-        rec = _drive(p, np.array([0.0, 3.0]), AdagradConfig(), None, "probe", step)
-        assert rec.status == RunStatus.FAILED
-        assert "step from x=" in rec.failure_reason
-        assert rec.failure_reason.endswith("is non-finite")
-        assert rec.trajectory.scale.tolist()[:2] == [0.5, 0.5]
-        assert len(rec.trajectory) == 3 and math.isnan(rec.trajectory.scale[2])
-        assert rec.final_x.tolist() == [0.0, 0.75]
-        assert np.array_equal(rec.final_x, steps[-1])
 
     def test_trajectory_counters_match_iterations(self):
         p = quadratic_pair()

@@ -407,6 +407,20 @@ class TestRateCheck:
         assert code == 0
         assert "True" in capsys.readouterr().out
 
+    def test_from_one_cell_profile_summary(self, tmp_path, capsys):
+        # A profile export keeps its trajectory CSVs in records/, not beside the summary.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"problems": ["MOP1"], "solvers": ["adagrad"], "budget": 200}))
+        out = tmp_path / "out"
+        assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(_rate_check(out / "summary.json", "1", "1")) == 0
+        from_summary = capsys.readouterr().out
+        csv_path = out / "records" / "MOP1__adagrad__seed0__rho0.csv"
+        assert main([*_rate_check(csv_path, "1", "1"), "--varsigma", "0.01"]) == 0
+        assert capsys.readouterr().out == from_summary
+        assert len(from_summary.splitlines()) == 3
+
     def test_descent_record_lacks_varsigma(self, tmp_path, capsys):
         out = tmp_path / "d"
         main(["solve", "--problem", "MOP1", "--solver", "descent", "--out", str(out)])

@@ -29,6 +29,7 @@ from mograd import (
     wrap_noisy,
 )
 from mograd.descent import MIN_STEP
+from mograd.problems import run_scope
 
 
 def _bowl():
@@ -43,9 +44,15 @@ def _bowl():
 
 
 def _array_rule_search(p, x, g_s, grads, beta):
-    """The line search with the m-vector test (candidate <= fx - t * margin).all()."""
+    """The line search with the m-vector test (candidate <= fx - t * margin).all().
+
+    A margin with a non-finite entry is taken again in units of max|grads|.
+    """
     with np.errstate(all="ignore"):
         margin = beta * grads.dot(g_s)
+        if not np.isfinite(margin).all():
+            top = np.abs(grads).max()
+            margin = beta * (grads / top).dot(g_s) * top
         fx = p.evaluate(x)
         t, used = 1.0, 1
         while t >= MIN_STEP:
@@ -159,6 +166,42 @@ class TestArmijo:
                 armijo_backtrack(p, np.zeros(1), np.array([1e10]), np.full((2, 1), 1e300), 0.1)
         assert p.counters.objective_evals == 52
 
+    @pytest.mark.parametrize(
+        "grads, beta, message",
+        [
+            (np.zeros((2, 3)), 0.1, "grads have shape"),
+            (np.full((2, 2), np.nan), 0.1, "grads contain non-finite entries"),
+            (None, 5.0, "beta must be in"),
+            (None, math.nan, "beta must be in"),
+            (None, -1.0, "beta must be in"),
+        ],
+    )
+    def test_public_call_checks_grads_and_beta(self, grads, beta, message):
+        # Refused before the reference evaluation: searched, a NaN margin
+        # stalls after 52 evaluations and a beta <= 0 accepts an increase.
+        p = get_problem("MOP1")
+        x = random_start(p, 0)
+        G = p.jacobian(x)
+        g_s = solve_direction(G).gradient
+        with pytest.raises(InputError, match=message):
+            armijo_backtrack(p, x, g_s, G if grads is None else grads, beta)
+        assert p.counters.objective_evals == 0
+
+    def test_public_cancelling_margin_is_not_read_as_minus_inf(self):
+        # grads . g_s is [-inf, 2e10] in floats, but the first slope is 0:
+        # f_1 rises from 0 at every candidate, so none may be accepted.
+        G = np.array([[1e300, -1e300], [1.0, 1.0]])
+        p = MultiObjectiveProblem(
+            "CANCEL", 2, 2, [0.0, 0.0],
+            lambda x: np.array([1e200 * np.abs(x).sum(), x.sum()]),
+            lambda x: G,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LineSearchError):
+                armijo_backtrack(p, np.zeros(2), np.array([1e10, 1e10]), G, 0.1)
+        assert p.counters.objective_evals == 52
+
     def test_hoisted_margin_is_bit_identical(self):
         # armijo_backtrack tests t * (beta * slopes) in place of
         # beta * t * slopes.  Scaling by a power of two is exact while every
@@ -215,7 +258,7 @@ class TestArmijo:
         # t = 2^-k it reaches, its decision must be the array test's, so both
         # searches end alike: ties at the threshold, -0.0, a margin of +inf
         # or -inf from an overflowing grads . g_s, subnormal products, and a
-        # NaN margin, since a public call's grads are not checked.
+        # NaN margin.  It searches in a run, where grads are not checked.
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, -1e300])
@@ -265,7 +308,11 @@ class TestArmijo:
                     return "stalled"
                 return t, used, point.tobytes()
 
-            assert outcome(armijo_backtrack) == outcome(_array_rule_search)
+            def in_run(*args):
+                with run_scope():
+                    return armijo_backtrack(*args)
+
+            assert outcome(in_run) == outcome(_array_rule_search)
 
         check()
 

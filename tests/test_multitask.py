@@ -155,9 +155,11 @@ class TestDataset:
         assert hash(a) == hash(a)
         assert len({a, b}) == 2
 
-    def test_bad_inputs(self):
+    def test_bad_inputs(self, tmp_path):
         with pytest.raises(InputError):
             generate_dataset("spiral")
+        with pytest.raises(InputError, match="kind must be one of"):
+            from_csv(tmp_path / "absent.csv", "hexagons")
         with pytest.raises(InputError):
             generate_dataset("quadrants", N=5)
         with pytest.raises(InputError, match="N must be an int"):

@@ -47,6 +47,8 @@ class TestEvaluate:
     def test_dimension_mismatch(self, reg_rosenbrock):
         with pytest.raises(InputError):
             reg_rosenbrock.evaluate([1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match=r"standard_start has shape \(3,\), expected \(2,\)"):
+            MultiObjectiveProblem("BAD", 2, 2, [1.0, 2.0, 3.0], None, None)
 
     def test_nonfinite_point_rejected(self, reg_rosenbrock):
         with pytest.raises(InputError):

@@ -253,6 +253,10 @@ class TestMinNormElement:
             min_norm_element(np.ones((2, 2)), tol=0.0)
         with pytest.raises(InputError):
             min_norm_element(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InputError, match="must be 2-d, got shape"):
+            min_norm_element(np.ones(3))
+        with pytest.raises(InputError, match="two vectors of equal length"):
+            min_norm_two(np.ones(2), np.ones(3))
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0), (0, 0)])
     def test_empty_jacobian_rejected(self, shape):
@@ -438,6 +442,8 @@ class TestKktResidual:
         G = np.eye(2)
         with pytest.raises(InputError):
             kkt_residual(G, np.array([0.6, 0.6]))
+        with pytest.raises(InputError, match=r"weights have shape \(3,\), expected \(2,\)"):
+            kkt_residual(G, np.array([0.2, 0.3, 0.5]))
 
 
 class TestBruteForce:
