@@ -61,7 +61,6 @@ from .subproblem import (
 from .suite import (
     CATALOG,
     SCALAR_PROBLEMS,
-    get_benchmark,
     get_problem,
     list_problems,
     make_pair,
@@ -96,7 +95,6 @@ __all__ = [
     "export",
     "from_csv",
     "generate_dataset",
-    "get_benchmark",
     "get_problem",
     "kkt_residual",
     "list_problems",

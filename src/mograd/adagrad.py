@@ -24,6 +24,7 @@ from .problems import (
     _check_positive,
     _check_x,
     _in_run,
+    _is_finite_number,
     _is_int,
     _is_number,
     run_scope,
@@ -95,10 +96,22 @@ def adagrad_step(x, w, g_s):
 
     Returns ``(x - g_s / w_next, w_next)`` with
     ``w_next = sqrt(w^2 + ||g_s||^2)``: the weight is updated before the
-    move.  A non-finite entry raises :class:`InputError`; a square that
-    overflows is taken as inf, without a warning.
+    move.  A non-finite entry of ``g_s`` raises :class:`InputError`; a
+    square that overflows is taken as inf, without a warning.  A public
+    call, outside a run, also refuses an ``x`` that is not a finite 1-d
+    array, a ``g_s`` of another shape, and a ``w`` that is not a number
+    > 0, finite as a float; ``w = inf`` passes, as the step itself returns
+    it once a square overflows.
     """
     if not _in_run():
+        x = np.asarray(x, dtype=float)
+        g_s = np.asarray(g_s, dtype=float)
+        if x.ndim != 1 or not np.isfinite(x).all():
+            raise InputError("x must be a 1-d array of finite entries")
+        if g_s.shape != x.shape:
+            raise InputError(f"g_s has shape {g_s.shape}, expected {x.shape}")
+        if not (_is_number(w) and w > 0 and (w == math.inf or _is_finite_number(w))):
+            raise InputError(f"w must be a number > 0, got {w!r}")
         with run_scope():
             return adagrad_step(x, w, g_s)
     g_s = np.asarray(g_s, dtype=float)

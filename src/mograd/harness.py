@@ -88,31 +88,18 @@ def performance_profile(costs, tau_grid=None):
         tau_grid = np.linspace(0.0, 4.0, 81)
     tau = np.asarray(tau_grid, dtype=float)
 
-    def solved(c):
-        return c is not None and math.isfinite(c)
-
-    best = {}
-    for p in problems:
-        cell = [costs[(p, s)] for s in solvers if solved(costs.get((p, s)))]
-        best[p] = min(cell) if cell else None
-
     ratios = {}
     for p in problems:
+        cells = [(s, costs.get((p, s))) for s in solvers]
+        solved = {s: c for s, c in cells if c is not None and math.isfinite(c)}
+        # No solved cell, or a best cost of 0, leaves all of p's ratios inf.
+        best = min(solved.values(), default=0.0)
         for s in solvers:
-            c = costs.get((p, s))
-            if solved(c) and best[p] is not None and best[p] > 0:
-                ratios[(p, s)] = c / best[p]
-            else:
-                ratios[(p, s)] = math.inf
+            ratios[(p, s)] = solved[s] / best if s in solved and best > 0 else math.inf
 
     curves = {}
     for s in solvers:
-        logr = np.array(
-            [
-                math.log10(ratios[(p, s)]) if math.isfinite(ratios[(p, s)]) else math.inf
-                for p in problems
-            ]
-        )
+        logr = np.array([math.log10(ratios[(p, s)]) for p in problems])
         curves[s] = np.array([(logr <= t).mean() for t in tau])
     return ProfileTable(problems, solvers, costs, ratios, tau, curves)
 

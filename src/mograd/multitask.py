@@ -68,10 +68,6 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def n_classes(self):
-        return 4 if self.kind == "quadrants" else 2
-
-    @property
     def n_params(self):
         d = self.n_features
         return d * 4 + d if self.kind == "quadrants" else 2 * d
@@ -162,6 +158,14 @@ def split_params(dataset, params):
     return params[:d], params[d:]
 
 
+def _finite_params(params):
+    """``params`` as floats; :class:`InputError` if an entry is not finite."""
+    params = np.asarray(params, dtype=float)
+    if not np.isfinite(params).all():
+        raise InputError("params contain non-finite entries")
+    return params
+
+
 # eq=False: a block hashes by identity, as a key of the run scope's memo.
 @dataclass(eq=False)
 class _Block:
@@ -248,8 +252,9 @@ def _probabilities(dataset, split, params):
     Inside a :class:`~mograd.problems.run_scope`, the pass is stored in the
     scope's memo at the ``params`` object (``is``, not ``==``) under the
     block, so :func:`losses` and :func:`loss_gradients` at one point
-    compute it once.  Outside a run every call computes its own.  Neither
-    consumer writes into the probabilities.
+    compute it once.  Outside a run every call computes its own, and
+    non-finite ``params`` raise :class:`InputError`.  Neither consumer
+    writes into the probabilities.
     """
     block = _split_block(dataset, split)
 
@@ -257,7 +262,9 @@ def _probabilities(dataset, split, params):
         return _forward(dataset.kind, block.XT, *split_params(dataset, params))
 
     scope = _in_run()
-    return block, forward(params) if scope is None else scope.value(block, params, forward)
+    if scope is None:
+        return block, forward(_finite_params(params))
+    return block, scope.value(block, params, forward)
 
 
 def losses(dataset, split, params):
@@ -299,10 +306,11 @@ def accuracy(dataset, split, params):
 
     Task 1 predicts the argmax class (ties to the lowest class), binary
     tasks predict 1 only on strictly positive logits, matching the
-    two-class argmax convention.
+    two-class argmax convention.  Non-finite ``params`` raise
+    :class:`InputError`.
     """
     block = _split_block(dataset, split)
-    w1, w2 = split_params(dataset, params)
+    w1, w2 = split_params(dataset, _finite_params(params))
     if dataset.kind == "quadrants":
         # An argmax along the last axis runs in place; along the first it
         # copies, so this one product stays sample-major.

@@ -92,6 +92,11 @@ def _finite(a):
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
+def _malformed(name, oracle, shape, exc):
+    """InputError for an oracle output that is not floats of ``shape``."""
+    return InputError(f"{name}: {oracle} output is not floats of shape {shape}: {exc}")
+
+
 def _overflow(name, values, x):
     """EvaluationOverflowError naming the first non-finite entry of ``values``.
 
@@ -207,9 +212,16 @@ class MultiObjectiveProblem:
         Maps an (n,) array to an (m,) array of objective values.
     jacobian : callable
         Maps an (n,) array to an (m, n) array whose row j is grad f_j.
+
+    An ``n`` or ``m`` that is not an int >= 1 (not a bool) raises
+    :class:`InputError`, as does an oracle output that does not convert to
+    floats of the expected shape, in a public call and inside a run alike.
     """
 
     def __init__(self, name, n, m, standard_start, objectives, jacobian):
+        for size, value in (("n", n), ("m", m)):
+            if not (_is_int(value) and value >= 1):
+                raise InputError(f"{name}: {size} must be an int >= 1, got {value!r}")
         self.name = str(name)
         self.n = int(n)
         self.m = int(m)
@@ -242,7 +254,11 @@ class MultiObjectiveProblem:
         return y
 
     def _value(self, x):
-        return np.asarray(self._objectives(x), dtype=float).reshape(self.m)
+        y = self._objectives(x)
+        try:
+            return np.asarray(y, dtype=float).reshape(self.m)
+        except (TypeError, ValueError) as exc:
+            raise _malformed(self.name, "objectives", (self.m,), exc) from None
 
     @_oracle
     def jacobian(self, x):
@@ -250,7 +266,11 @@ class MultiObjectiveProblem:
 
         ``x`` is checked as in :meth:`evaluate`.
         """
-        G = np.asarray(self._jacobian(x), dtype=float).reshape(self.m, self.n)
+        G = self._jacobian(x)
+        try:
+            G = np.asarray(G, dtype=float).reshape(self.m, self.n)
+        except (TypeError, ValueError) as exc:
+            raise _malformed(self.name, "jacobian", (self.m, self.n), exc) from None
         self.counters.gradient_evals += 1
         if not _finite(G):
             raise _overflow(self.name, G, x)

@@ -19,8 +19,7 @@ steps, and an exhaustive grid search used as a test oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,22 +55,12 @@ class SubproblemSolution:
     iterations : int
         Active-set steps of :func:`min_norm_element`, rows added and rows
         dropped alike (0 for closed forms).
-    jacobian : ndarray, shape (m, n)
-        The matrix G the solution was computed for.
-    kkt_residual : float
-        Normalized optimality residual of ``weights`` (see
-        :func:`kkt_residual`), computed from ``jacobian`` on first access.
     """
 
     weights: np.ndarray
     gradient: np.ndarray
     omega: float
     iterations: int
-    jacobian: np.ndarray = field(repr=False)
-
-    @cached_property
-    def kkt_residual(self):
-        return kkt_residual(self.jacobian, self.weights)
 
 
 def _check_matrix(G):
@@ -96,7 +85,7 @@ _HUGE = float(np.finfo(float).max)
 def _solution(G, lam, iterations):
     """The solution with weights ``lam`` for ``G``: g = G^T lam and omega = ||g||^2."""
     g = G.T.dot(lam)
-    return SubproblemSolution(lam, g, float(g.dot(g)), iterations, G)
+    return SubproblemSolution(lam, g, float(g.dot(g)), iterations)
 
 
 def _finish(G, lam, iterations):
@@ -122,7 +111,8 @@ def kkt_residual(G, weights):
         raise InputError(
             f"weights have shape {lam.shape}, expected ({G.shape[0]},)"
         )
-    if lam.min() < -1e-9 or abs(lam.sum() - 1.0) > 1e-9:
+    # Written as a test the weights pass, so that a NaN weight fails it.
+    if not (lam.min() >= -1e-9 and abs(lam.sum() - 1.0) <= 1e-9):
         raise InputError("weights must lie on the unit simplex")
     top = float(np.abs(G).max())
     unit = 1.0

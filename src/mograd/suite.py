@@ -328,15 +328,6 @@ _BENCHMARKS = {
 START_BOX = (-2.0, 2.0)
 
 
-def get_benchmark(name):
-    """Benchmark instance by name; :func:`random_start` draws its starts."""
-    if name not in _BENCHMARKS:
-        raise KeyError(
-            f"unknown benchmark {name!r}; valid names: {sorted(_BENCHMARKS)}"
-        )
-    return MultiObjectiveProblem(name, 2, 2, (0.0, 0.0), *_BENCHMARKS[name])
-
-
 def random_start(problem, seed):
     """Uniform start in the box ``START_BOX``^n, which every benchmark shares."""
     _check_seed(seed)
@@ -362,8 +353,11 @@ def _entry(origin, build):
 
 def _catalog():
     entries = [
-        _entry("benchmark", functools.partial(get_benchmark, name))
-        for name in _BENCHMARKS
+        _entry(
+            "benchmark",
+            functools.partial(MultiObjectiveProblem, name, 2, 2, (0.0, 0.0), *oracles),
+        )
+        for name, oracles in _BENCHMARKS.items()
     ]
     entries += [
         _entry("regularized", functools.partial(make_regularized, p))

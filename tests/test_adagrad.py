@@ -67,6 +67,25 @@ class TestStep:
             with pytest.raises(InputError):
                 adagrad_step(x, w, np.array([1e200, bad]))
 
+    def test_bad_public_inputs_rejected(self):
+        x, g = np.zeros(2), np.ones(2)
+        for args, message in [
+            ((x, 0.0, g), "w must be a number > 0"),
+            ((x, -1.0, g), "w must be a number > 0"),
+            ((x, np.nan, g), "w must be a number > 0"),
+            ((x, True, g), "w must be a number > 0"),
+            ((x, 10**400, g), "w must be a number > 0"),
+            ((np.array([np.nan, 0.0]), 1.0, g), "x must be a 1-d array of finite entries"),
+            ((np.zeros((1, 2)), 1.0, g[None, :]), "x must be a 1-d array of finite entries"),
+            ((x, 1.0, np.ones(3)), r"g_s has shape \(3,\), expected \(2,\)"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                adagrad_step(*args)
+        # An infinite weight is one the step itself returns; it steps nowhere.
+        x_next, w = adagrad_step(x, math.inf, g)
+        assert w == math.inf
+        assert x_next.tolist() == [0.0, 0.0]
+
     def test_matches_the_first_formula(self, rng):
         # As first written: an entrywise finite test, then `g_s @ g_s`.
         def reference(x, w, g_s):

@@ -144,9 +144,9 @@ class TestDataset:
 
     def test_shapes(self):
         q = generate_dataset("quadrants", N=100, seed=0)
-        assert (q.n_features, q.n_classes, q.n_params) == (5, 4, 25)
+        assert (q.n_features, q.n_params) == (5, 25)
         d = generate_dataset("diagonals", N=100, seed=0)
-        assert (d.n_features, d.n_classes, d.n_params) == (6, 2, 12)
+        assert (d.n_features, d.n_params) == (6, 12)
 
     def test_compares_and_hashes_by_identity(self):
         a = generate_dataset("quadrants", N=20)
@@ -164,6 +164,16 @@ class TestDataset:
             generate_dataset("quadrants", N=5)
         with pytest.raises(InputError, match="N must be an int"):
             generate_dataset("quadrants", N=10.5)
+        q = generate_dataset("quadrants", N=10)
+        d = generate_dataset("diagonals", N=10)
+        for oracle, dataset, params in [
+            (losses, d, np.full(12, np.inf)),
+            (loss_gradients, d, np.full(12, np.nan)),
+            (accuracy, q, np.full(25, np.nan)),
+            (losses, q, np.r_[np.zeros(24), -np.inf]),
+        ]:
+            with pytest.raises(InputError, match="params contain non-finite entries"):
+                oracle(dataset, "test", params)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, None])
     def test_bad_seed_rejected(self, seed):

@@ -30,6 +30,14 @@ def reg_rosenbrock():
     return make_regularized(SCALAR_PROBLEMS["ROSENBR"])
 
 
+def _evaluate(problem):
+    return problem.evaluate([0.0, 0.0])
+
+
+def _jacobian(problem):
+    return problem.jacobian([0.0, 0.0])
+
+
 class TestEvaluate:
     def test_regularized_rosenbrock_at_minimizer(self, reg_rosenbrock):
         assert_allclose(reg_rosenbrock.evaluate([1.0, 1.0]), [0.0, 2.0])
@@ -49,6 +57,27 @@ class TestEvaluate:
             reg_rosenbrock.evaluate([1.0, 2.0, 3.0])
         with pytest.raises(InputError, match=r"standard_start has shape \(3,\), expected \(2,\)"):
             MultiObjectiveProblem("BAD", 2, 2, [1.0, 2.0, 3.0], None, None)
+        for n, m, size in ((2.7, 2, "n"), ("2", 2, "n"), (0, 2, "n"), (2, True, "m"), (2, 0, "m")):
+            with pytest.raises(InputError, match=f"BAD: {size} must be an int >= 1"):
+                MultiObjectiveProblem("BAD", n, m, [1.0, 2.0], None, None)
+
+    @pytest.mark.parametrize(
+        "values, rows, call, expected",
+        [
+            (np.zeros(3), np.eye(2), _evaluate, r"objectives .* \(2,\)"),
+            ("ab", np.eye(2), _evaluate, r"objectives .* \(2,\)"),
+            (np.zeros(2), np.zeros((2, 3)), _jacobian, r"jacobian .* \(2, 2\)"),
+            (np.zeros(2), "ab", _jacobian, r"jacobian .* \(2, 2\)"),
+            (np.zeros(2), np.zeros(5), run_adagrad, r"jacobian .* \(2, 2\)"),
+            (np.zeros(2), "ab", run_adagrad, r"jacobian .* \(2, 2\)"),
+            # The Jacobian is well formed: the first line search's evaluate fails.
+            (np.zeros(3), np.eye(2), run_descent, r"objectives .* \(2,\)"),
+        ],
+    )
+    def test_malformed_oracle_output_rejected(self, values, rows, call, expected):
+        p = MultiObjectiveProblem("ODD", 2, 2, [1.0, 1.0], lambda x: values, lambda x: rows)
+        with pytest.raises(InputError, match=f"ODD: {expected}"):
+            call(p)
 
     def test_nonfinite_point_rejected(self, reg_rosenbrock):
         with pytest.raises(InputError):

@@ -46,8 +46,9 @@ class TestMinNormTwo:
 
     def test_closed_form_residual_is_tiny(self, rng):
         for _ in range(200):
-            sol = min_norm_two(rng.normal(size=4), rng.normal(size=4))
-            assert sol.kkt_residual <= 1e-12
+            g1, g2 = rng.normal(size=4), rng.normal(size=4)
+            sol = min_norm_two(g1, g2)
+            assert kkt_residual(np.array([g1, g2]), sol.weights) <= 1e-12
 
     def test_agrees_with_iterative_solver(self, rng):
         for _ in range(1000):
@@ -169,10 +170,11 @@ class TestMinNormElement:
         assert_allclose(sol.weights, [0.5, 0.5, 0.0][:m], atol=1e-12)
 
     def test_zero_matrix_degenerate(self):
-        sol = min_norm_element(np.zeros((3, 4)))
+        G = np.zeros((3, 4))
+        sol = min_norm_element(G)
         assert_allclose(sol.weights, [1 / 3] * 3)
         assert sol.omega == 0.0
-        assert sol.kkt_residual == 0.0
+        assert kkt_residual(G, sol.weights) == 0.0
 
     def test_single_row(self):
         g = np.array([1.0, 2.0, 2.0])
@@ -388,23 +390,6 @@ class TestStackedCatalogInstances:
 
 
 class TestKktResidual:
-    def test_computed_on_first_access_only(self, monkeypatch):
-        calls = []
-        residual = subproblem.kkt_residual
-
-        def counted(G, weights):
-            calls.append(1)
-            return residual(G, weights)
-
-        monkeypatch.setattr(subproblem, "kkt_residual", counted)
-        for G in (np.array([[1.0, 0.0], [0.0, 1.0]]), np.eye(3)):
-            sol = solve_direction(G)
-            assert calls == []
-            assert sol.kkt_residual == residual(G, sol.weights)
-            assert sol.kkt_residual == residual(G, sol.weights)
-            assert len(calls) == 1
-            calls.clear()
-
     def test_exact_solution_residual(self, rng):
         for _ in range(100):
             g1, g2 = rng.normal(size=(2, 3))
@@ -440,8 +425,9 @@ class TestKktResidual:
 
     def test_off_simplex_rejected(self):
         G = np.eye(2)
-        with pytest.raises(InputError):
-            kkt_residual(G, np.array([0.6, 0.6]))
+        for weights in ([0.6, 0.6], [np.nan, np.nan], [np.nan, 1.0]):
+            with pytest.raises(InputError, match="unit simplex"):
+                kkt_residual(G, np.array(weights))
         with pytest.raises(InputError, match=r"weights have shape \(3,\), expected \(2,\)"):
             kkt_residual(G, np.array([0.2, 0.3, 0.5]))
 
@@ -561,10 +547,9 @@ class TestSolveDirection:
 
         monkeypatch.setattr(subproblem, "_check_matrix", counting)
         G = np.array([[1.0, 2.0], [3.0, -1.0]])
-        sol = solve_direction(G)
+        solve_direction(G)
         # In range, the scale test that picks the route is the only check.
         assert calls == []
-        assert sol.jacobian is G  # no copy of the already-checked matrix
         with pytest.raises(InputError):
             solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
         assert calls == [(2, 2)]
@@ -590,10 +575,9 @@ class TestSolveDirection:
         # The tracer counts min_norm_element through the module global.
         monkeypatch.setattr(subproblem, "min_norm_element", counted_solve)
         G = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
-        sol = solve_direction(G, tol=1e-12)
+        solve_direction(G, tol=1e-12)
         assert calls == [(3, 2)]
         assert solves == [1e-12]
-        assert sol.jacobian is G
         with pytest.raises(InputError):
             solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
 

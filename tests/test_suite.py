@@ -13,7 +13,6 @@ from mograd import (
     InputError,
     RunStatus,
     SCALAR_PROBLEMS,
-    get_benchmark,
     get_problem,
     list_problems,
     make_pair,
@@ -224,10 +223,10 @@ class TestBitExactFormulas:
             assert _bits(reg.evaluate(x)) == _bits(_l2_reference(p, x))
 
     def test_benchmarks_match_matmul(self, rng):
-        mop1, t1, lovison4 = (get_benchmark(n) for n in ("MOP1", "T1", "Lovison4"))
+        mop1, t1, lovison4 = (get_problem(n) for n in ("MOP1", "T1", "Lovison4"))
         others = [
-            (get_benchmark("Lovison3"), _lovison3_reference),
-            (get_benchmark("T2"), _t2_reference),
+            (get_problem("Lovison3"), _lovison3_reference),
+            (get_problem("T2"), _t2_reference),
         ]
         for _ in range(3000):
             # Magnitudes e^-6 .. e^6: the bumps range from 1 down to 0.
@@ -341,13 +340,11 @@ class TestCatalog:
     def test_unknown_names_rejected(self):
         with pytest.raises(KeyError):
             get_problem("NOPE")
-        with pytest.raises(KeyError):
-            get_benchmark("Lovison5")
 
 
 class TestStarts:
     def test_random_start_deterministic_and_in_box(self):
-        p = get_benchmark("Lovison3")
+        p = get_problem("Lovison3")
         x1 = random_start(p, seed=7)
         x2 = random_start(p, seed=7)
         assert np.array_equal(x1, x2)
@@ -357,10 +354,10 @@ class TestStarts:
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "0", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(InputError, match="seed must be an int >= 0"):
-            random_start(get_benchmark("Lovison3"), seed)
+            random_start(get_problem("Lovison3"), seed)
 
     @pytest.mark.parametrize("name", ["Lovison3", "Lovison4", "MOP1", "T1", "T2"])
     def test_benchmarks_solvable_from_seeded_start(self, name):
-        p = get_benchmark(name)
+        p = get_problem(name)
         rec = run_descent(p, x0=random_start(p, seed=0))
         assert rec.status == RunStatus.CRITICAL
