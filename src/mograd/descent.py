@@ -23,6 +23,14 @@ from .subproblem import solve_direction  # noqa: F401
 
 MIN_STEP = 2.0**-50
 
+# The steps t = 1, 1/2, ..., MIN_STEP, in the two blocks a row oracle tests
+# them in: 1 to 2**-7, then the rest.  ARWHEAD-VARDIM and BROWNAL-VARDIM
+# descent (budget 2 000) took 0.46 s so, 0.51 s with one block of every
+# step and 0.83 s with blocks doubling from one row (2-core Xeon).
+_STEPS = np.ldexp(1.0, -np.arange(int(-math.log2(MIN_STEP)) + 1))
+_STEPS.flags.writeable = False
+_BLOCKS = (_STEPS[:8], _STEPS[8:])
+
 
 @dataclass(frozen=True)
 class DescentConfig(SolverConfig):
@@ -59,6 +67,15 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     test ``(candidate <= fx - t * margin).all()`` in the same order, with
     no fused multiply-add, so each decision is the array test's bit for
     bit, NaN and inf included.
+
+    A problem with a row oracle (``MultiObjectiveProblem(..., rows=...)``)
+    has its candidates tested a block at a time instead, each block in one
+    call (``MultiObjectiveProblem._armijo_rows``), by that array test: t = 1
+    to 2**-7, then 2**-8 to ``MIN_STEP``.  Only the rows up to the first
+    that passes are counted, checked and stored in the run memo, so ``t``,
+    ``used``, the point, the counters and any error are the per-candidate
+    loop's.  Every other problem, a noisy or duck-typed one included, runs
+    that loop.
     """
     if not _in_run():
         with run_scope():
@@ -78,17 +95,25 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     # omega above tol^2, so g_s is finite and nonzero, and grads is finite.
     # t is a power of two, so t * (beta * slopes) is beta * t * slopes bit
     # for bit unless a product is subnormal.
-    margin = (beta * grads.dot(g_s)).tolist()
-    if not all(map(math.isfinite, margin)):
+    margin = beta * grads.dot(g_s)
+    if not _finite(margin):
         top = float(np.abs(grads).max())
-        margin = (beta * (grads / top).dot(g_s) * top).tolist()
-    fx = problem.evaluate(x).tolist()
+        margin = beta * (grads / top).dot(g_s) * top
+    fx = problem.evaluate(x)
     point = x - g_s
     if not _finite(point):
         raise EvaluationOverflowError(
             f"{problem.name}: line search point is non-finite from x={x}", None, x
         )
     used = 1
+    if getattr(problem, "_rows", None) is not None:
+        for ts in _BLOCKS:
+            i, point = problem._armijo_rows(x, g_s, ts, fx, margin)
+            if point is not None:
+                return float(ts[i]), used + i + 1, point
+            used += len(ts)
+        raise LineSearchError(f"backtracking fell below min_step={MIN_STEP:.3e}")
+    fx, margin = fx.tolist(), margin.tolist()
     t = 1.0
     # One objective at a time in Python floats (see above): for the small m
     # of a line search, a third of the cost of four numpy calls.

@@ -92,9 +92,25 @@ def _finite(a):
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
-def _malformed(name, oracle, shape, exc):
-    """InputError for an oracle output that is not floats of ``shape``."""
-    return InputError(f"{name}: {oracle} output is not floats of shape {shape}: {exc}")
+def _floats(name, oracle, out, shape):
+    """The oracle output ``out`` as a float array of ``shape``.
+
+    An output that does not convert to floats of that shape (any entries
+    of the right number pass, as ``reshape`` takes them) is an
+    :class:`InputError` naming the problem, the oracle and the shape.  So
+    is a complex one, whose conversion would drop the imaginary part.
+    """
+    try:
+        a = np.asarray(out)
+        if a.dtype.char != "d":
+            if a.dtype.kind == "c":
+                raise TypeError("complex values")
+            a = a.astype(float)
+        return a.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"{name}: {oracle} output is not floats of shape {shape}: {exc}"
+        ) from None
 
 
 def _overflow(name, values, x):
@@ -212,13 +228,34 @@ class MultiObjectiveProblem:
         Maps an (n,) array to an (m,) array of objective values.
     jacobian : callable
         Maps an (n,) array to an (m, n) array whose row j is grad f_j.
+    rows : callable, optional
+        The row oracle: maps a (k, n) block of points to the (k, m) block
+        of their values, whose row i must equal ``objectives(X[i])`` bit
+        for bit.  With one, a descent line search tests a block of
+        candidates in one call (:meth:`_armijo_rows`).
 
     An ``n`` or ``m`` that is not an int >= 1 (not a bool) raises
     :class:`InputError`, as does an oracle output that does not convert to
-    floats of the expected shape, in a public call and inside a run alike.
+    floats of the expected shape, or is complex, in a public call and
+    inside a run alike.
+
+    A row form is bit for bit its one-point oracle only if it follows
+    three rules, which the catalog's row forms keep (:mod:`mograd.suite`:
+    ARWHEAD, VARDIM, BROWNAL and the ``||x||^2`` regulariser, so the six
+    instances built from two of them have a row oracle):
+
+    * a power the one-point oracle takes of a numpy scalar (libm ``pow``)
+      is taken entry by entry with Python's float ``**``, the same
+      ``pow``, with its ``OverflowError`` read as inf; numpy's array
+      ``**`` rounds differently;
+    * a dot product stays one ``dot`` per row: a matrix product, or a
+      sum of the products, rounds differently;
+    * a ``sum`` or ``prod`` of a point's entries may be taken along the
+      rows of a C-contiguous block (``axis=1``), which folds each row as
+      the 1-d call does.
     """
 
-    def __init__(self, name, n, m, standard_start, objectives, jacobian):
+    def __init__(self, name, n, m, standard_start, objectives, jacobian, rows=None):
         for size, value in (("n", n), ("m", m)):
             if not (_is_int(value) and value >= 1):
                 raise InputError(f"{name}: {size} must be an int >= 1, got {value!r}")
@@ -233,6 +270,7 @@ class MultiObjectiveProblem:
             )
         self._objectives = objectives
         self._jacobian = jacobian
+        self._rows = rows
         self.counters = EvalCounters()
 
     # Noise level of the oracle; plain problems are exact.
@@ -254,11 +292,7 @@ class MultiObjectiveProblem:
         return y
 
     def _value(self, x):
-        y = self._objectives(x)
-        try:
-            return np.asarray(y, dtype=float).reshape(self.m)
-        except (TypeError, ValueError) as exc:
-            raise _malformed(self.name, "objectives", (self.m,), exc) from None
+        return _floats(self.name, "objectives", self._objectives(x), (self.m,))
 
     @_oracle
     def jacobian(self, x):
@@ -266,15 +300,40 @@ class MultiObjectiveProblem:
 
         ``x`` is checked as in :meth:`evaluate`.
         """
-        G = self._jacobian(x)
-        try:
-            G = np.asarray(G, dtype=float).reshape(self.m, self.n)
-        except (TypeError, ValueError) as exc:
-            raise _malformed(self.name, "jacobian", (self.m, self.n), exc) from None
+        G = _floats(self.name, "jacobian", self._jacobian(x), (self.m, self.n))
         self.counters.gradient_evals += 1
         if not _finite(G):
             raise _overflow(self.name, G, x)
         return G
+
+    def _armijo_rows(self, x, g_s, ts, fx, margin):
+        """The first candidate ``x - t * g_s``, t in ``ts``, that passes the Armijo test.
+
+        One row-oracle call gives the values of the whole block.  A row
+        passes when ``Y[i] <= fx - t * margin`` in every objective, the
+        array test of :func:`~mograd.descent.armijo_backtrack`.  Returns
+        ``(i, point)`` for the first row i that passes, or ``(None, None)``.
+        Only the rows up to that one (every row, if none passes) are
+        counted, checked and stored, as that many :meth:`evaluate` calls
+        would: each counts once, the first non-finite one raises its
+        :class:`EvaluationOverflowError`, and the accepted point's row
+        becomes the run memo's value there.  Called inside a run only.
+        """
+        points = x - ts[:, None] * g_s
+        Y = _floats(self.name, "rows", self._rows(points), (len(ts), self.m))
+        passed = (Y <= fx - ts[:, None] * margin).all(axis=1)
+        i = int(passed.argmax()) if passed.any() else len(ts) - 1
+        counted = Y[: i + 1]
+        if not _finite(counted):
+            i = int(np.isfinite(counted).all(axis=1).argmin())
+            self.counters.objective_evals += i + 1
+            raise _overflow(self.name, Y[i], points[i])
+        self.counters.objective_evals += i + 1
+        if not passed[i]:
+            return None, None
+        point = points[i]
+        _in_run().value(self, point, lambda _: Y[i])
+        return i, point
 
     def phi(self, x):
         """Worst objective max_j f_j(x); costs one objective evaluation."""

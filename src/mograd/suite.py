@@ -19,6 +19,7 @@ README, since several variants circulate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +29,35 @@ from .problems import InputError, MultiObjectiveProblem, _check_seed
 
 @dataclass(frozen=True)
 class ScalarProblem:
-    """A single smooth objective with value and gradient oracles."""
+    """A single smooth objective with value and gradient oracles.
+
+    ``rows``, if given, maps a (k, n) block of points to the k values,
+    each ``value`` of its row bit for bit (see
+    :class:`~mograd.problems.MultiObjectiveProblem` for the rules).
+    """
 
     name: str
     n: int
     standard_start: tuple
     value: callable
     gradient: callable
+    rows: callable = None
+
+
+def _powers(values, p):
+    """``v ** p`` of each float in ``values``, as a numpy scalar's ``**`` gives it.
+
+    Both are libm ``pow``; an array's ``**`` is not.  Where the power
+    overflows, Python raises and numpy returns inf, so it is inf here:
+    ``p`` is even.
+    """
+    out = []
+    for v in values:
+        try:
+            out.append(v**p)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
 
 
 def _rosenbrock(x):
@@ -96,6 +119,11 @@ def _arwhead(x):
     return float((head**2 - 4.0 * x[:-1] + 3.0).sum())
 
 
+def _arwhead_rows(X):
+    head = X[:, :-1] ** 2 + _powers(X[:, -1].tolist(), 2)[:, None]
+    return (head**2 - 4.0 * X[:, :-1] + 3.0).sum(axis=1)
+
+
 def _arwhead_grad(x):
     head = x[:-1] ** 2 + x[-1] ** 2
     g = np.empty_like(x)
@@ -127,6 +155,13 @@ def _vardim(x):
     return float(((x - 1.0) ** 2).sum()) + lin**2 + lin**4
 
 
+def _vardim_rows(X):
+    n = X.shape[1]
+    idx = _index(n)
+    lin = [float(idx.dot(x)) - n * (n + 1) / 2.0 for x in X]
+    return ((X - 1.0) ** 2).sum(axis=1) + _powers(lin, 2) + _powers(lin, 4)
+
+
 def _vardim_grad(x):
     n = x.size
     idx = _index(n)
@@ -139,6 +174,13 @@ def _brownal(x):
     lin = x + x.sum() - (n + 1.0)
     prod = x.prod()
     return float((lin[:-1] ** 2).sum()) + (prod - 1.0) ** 2
+
+
+def _brownal_rows(X):
+    n = X.shape[1]
+    lin = X + X.sum(axis=1)[:, None] - (n + 1.0)
+    prod = X.prod(axis=1)
+    return (lin[:, :-1] ** 2).sum(axis=1) + _powers((prod - 1.0).tolist(), 2)
 
 
 def _brownal_grad(x):
@@ -164,11 +206,16 @@ SCALAR_PROBLEMS = {
     "CUBE": ScalarProblem("CUBE", 2, (-1.2, 1.0), _cube, _cube_grad),
     "WAYSEA1": ScalarProblem("WAYSEA1", 2, (1.5, 1.5), _waysea1, _waysea1_grad),
     "ZANGWIL2": ScalarProblem("ZANGWIL2", 2, (3.0, 8.0), _zangwil2, _zangwil2_grad),
-    "ARWHEAD": ScalarProblem("ARWHEAD", 10, (1.0,) * 10, _arwhead, _arwhead_grad),
-    "VARDIM": ScalarProblem(
-        "VARDIM", 10, tuple(1.0 - i / 10.0 for i in range(1, 11)), _vardim, _vardim_grad
+    "ARWHEAD": ScalarProblem(
+        "ARWHEAD", 10, (1.0,) * 10, _arwhead, _arwhead_grad, rows=_arwhead_rows
     ),
-    "BROWNAL": ScalarProblem("BROWNAL", 10, (0.5,) * 10, _brownal, _brownal_grad),
+    "VARDIM": ScalarProblem(
+        "VARDIM", 10, tuple(1.0 - i / 10.0 for i in range(1, 11)), _vardim, _vardim_grad,
+        rows=_vardim_rows,
+    ),
+    "BROWNAL": ScalarProblem(
+        "BROWNAL", 10, (0.5,) * 10, _brownal, _brownal_grad, rows=_brownal_rows
+    ),
 }
 
 # Paired instances reported in the experiments; both members share n.
@@ -185,8 +232,11 @@ PAIR_NAMES = [
 ]
 
 
-def _pair(name, n, start, f1, g1, f2, g2):
-    """The problem (f1, f2) in n variables, with gradient rows (g1, g2)."""
+def _pair(name, n, start, f1, g1, f2, g2, rows1=None, rows2=None):
+    """The problem (f1, f2) in n variables, with gradient rows (g1, g2).
+
+    It has a row oracle when both parts have one, ``rows1`` and ``rows2``.
+    """
 
     def objectives(x):
         return np.array([f1(x), f2(x)])
@@ -194,14 +244,24 @@ def _pair(name, n, start, f1, g1, f2, g2):
     def jac(x):
         return np.array([g1(x), g2(x)])
 
-    return MultiObjectiveProblem(name, n, 2, start, objectives, jac)
+    rows = None
+    if rows1 is not None and rows2 is not None:
+        def rows(X):
+            return np.stack((rows1(X), rows2(X)), axis=1)
+
+    return MultiObjectiveProblem(name, n, 2, start, objectives, jac, rows)
+
+
+def _l2_rows(X):
+    # One dot a row, as the one-point form takes it.
+    return np.array([float(x.dot(x)) for x in X])
 
 
 def make_regularized(p):
     """Bi-objective instance f_1 = p, f_2 = ||x||^2, started at p's start."""
     return _pair(
         f"{p.name}-L2", p.n, p.standard_start, p.value, p.gradient,
-        lambda x: float(x.dot(x)), lambda x: 2.0 * x,
+        lambda x: float(x.dot(x)), lambda x: 2.0 * x, p.rows, _l2_rows,
     )
 
 
@@ -213,7 +273,8 @@ def make_pair(p1, p2):
         )
     start = (np.asarray(p1.standard_start) + np.asarray(p2.standard_start)) / 2.0
     return _pair(
-        f"{p1.name}-{p2.name}", p1.n, start, p1.value, p1.gradient, p2.value, p2.gradient
+        f"{p1.name}-{p2.name}", p1.n, start, p1.value, p1.gradient, p2.value, p2.gradient,
+        p1.rows, p2.rows,
     )
 
 

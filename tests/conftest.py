@@ -8,6 +8,12 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+# The catalog instances with a row oracle: both parts have a row form.
+ROW_NAMES = [
+    "ARWHEAD-L2", "ARWHEAD-VARDIM", "BROWNAL-ARWHEAD", "BROWNAL-L2",
+    "BROWNAL-VARDIM", "VARDIM-L2",
+]
+
 
 def src_env():
     """The environment with ``src`` first on PYTHONPATH, for a child interpreter."""

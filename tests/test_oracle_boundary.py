@@ -6,9 +6,12 @@ that must not change: drivers call the public ``evaluate``/``jacobian``
 names (a tracer patches them), public calls after any kind of run keep
 every check, and no start point in the float range lets an error escape.
 The run scope's objective memo, and the forward pass the multitask
-oracles share through it, must change no record and no count.
+oracles share through it, must change no record and no count; nor may a
+row oracle, through which a line search tests its candidates a block at a
+time without calling ``evaluate``.
 """
 
+import math
 import threading
 import warnings
 import weakref
@@ -17,11 +20,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import ROW_NAMES
 from contract import _bigg
 from mograd import (
     AdagradConfig,
     DescentConfig,
+    EvaluationOverflowError,
     InputError,
+    LineSearchError,
     MultiObjectiveProblem,
     NoiseSpec,
     RunStatus,
@@ -32,6 +38,7 @@ from mograd import (
     random_start,
     run_adagrad,
     run_descent,
+    solve_direction,
     wrap_noisy,
 )
 from mograd import descent, harness, multitask
@@ -252,6 +259,140 @@ class TestObjectiveMemo:
         fresh, fresh_calls = run(_FreshPoints)
         assert fresh_calls == fresh.objective_evals > memo_calls
         assert _fingerprint(memo) == _fingerprint(fresh)
+
+
+def _row_calls(problem, calls):
+    """``problem`` counting its row-oracle and objective calls in the Counter ``calls``."""
+    rows, objectives = problem._rows, problem._objectives
+
+    def counted_rows(X):
+        calls["rows"] += 1
+        return rows(X)
+
+    def counted_objectives(x):
+        calls["objectives"] += 1
+        return objectives(x)
+
+    problem._rows, problem._objectives = counted_rows, counted_objectives
+    return problem
+
+
+def _search(problem, x, g_s, grads, beta):
+    """A public line search's outcome and the objective evaluations it counted."""
+    before = problem.counters.objective_evals
+    try:
+        t, used, point = descent.armijo_backtrack(problem, x, g_s, grads, beta)
+        out = (t, used, point.tobytes())
+    except (LineSearchError, EvaluationOverflowError) as exc:
+        out = (type(exc), str(exc), getattr(exc, "index", None))
+    return out, problem.counters.objective_evals - before
+
+
+class TestRowOracle:
+    """Candidates tested a block at a time through a row oracle: every record as one at a time."""
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    def test_runs_match_a_view_without_row_oracle(self, name):
+        # _FreshPoints has no row oracle, so its line searches run the
+        # per-candidate loop.
+        config = DescentConfig(gradient_budget=100)
+        assert not hasattr(_FreshPoints(get_problem(name)), "_rows")
+        for seed in range(4):
+            calls = Counter()
+            p = _row_calls(get_problem(name), calls)
+            x0 = random_start(p, seed)
+            rows = run_descent(p, x0, config, seed=seed)
+            # Only the first line search calls the objectives: each later
+            # one finds f(x) where the one before it stored its accepted row.
+            assert calls["rows"] and calls["objectives"] == 1
+            fresh = run_descent(_FreshPoints(get_problem(name)), x0, config, seed=seed)
+            assert _fingerprint(rows) == _fingerprint(fresh)
+
+    @pytest.mark.parametrize(
+        "values, outcome",
+        [
+            # Every candidate rises: a stall after the last step, MIN_STEP.
+            (lambda x: [x.sum() + 1.0 if x.any() else 0.0, 0.0], LineSearchError),
+            # A NaN at t = 1/2, after a rejected t = 1.
+            (lambda x: [1.0 if x[0] > 0.6 else math.nan if x[0] > 0.3 else 0.0, 0.0], 3),
+            # A -inf passes the test, but it is non-finite: an error all the same.
+            (lambda x: [1.0 if x[0] > 0.6 else -math.inf if x[0] > 0.3 else 0.0, 0.0], 3),
+            # NaN in every row after the accepted t = 1: none is counted.
+            (lambda x: [-1.0 if x[0] > 0.6 else math.nan if x.any() else 0.0, 0.0], 2),
+            # Accepted at t = 2**-20, in the second block.
+            (lambda x: [1.0 if x[0] > 2.0**-20 else 0.0, 0.0], 22),
+            # Rejected down to 2**-10, then an inf row at 2**-11.
+            (lambda x: [1.0 if x[0] > 2.0**-11 else math.inf if x.any() else 0.0, 0.0], 13),
+        ],
+    )
+    def test_search_edges_match_the_per_candidate_loop(self, values, outcome):
+        def problem():
+            def objectives(x):
+                return np.array(values(x))
+
+            return MultiObjectiveProblem(
+                "EDGE", 2, 2, [0.0, 0.0], objectives, None,
+                lambda X: np.array([objectives(x) for x in X]),
+            )
+
+        calls = Counter()
+        args = (np.zeros(2), np.array([-1.0, -1.0]), np.zeros((2, 2)), 0.1)
+        got = _search(_row_calls(problem(), calls), *args)
+        assert calls["rows"]
+        assert got == _search(_FreshPoints(problem()), *args)
+        (out, evals) = got
+        if outcome is LineSearchError:
+            assert out[0] is LineSearchError
+            assert evals == 52  # f(x), then t = 1, 1/2, ..., 2**-50
+        else:
+            assert evals == outcome
+
+    def test_random_searches_match_the_per_candidate_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        def scaled(shape):
+            # Entries of one magnitude, 1 or anything from 1e-300 to 1e150.
+            return st.builds(
+                lambda a, exponent: a * 10.0**exponent,
+                hnp.arrays(float, shape, elements=st.floats(-3.0, 3.0)),
+                st.one_of(st.just(0), st.integers(-300, 150)),
+            )
+
+        outcomes, calls = Counter(), Counter()
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(
+            name=st.sampled_from(ROW_NAMES),
+            x=scaled(10),
+            g_s=scaled(10),
+            grads=scaled((2, 10)),
+            beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            stretch=st.one_of(st.none(), st.integers(0, 40)),
+        )
+        def check(name, x, g_s, grads, beta, stretch):
+            if stretch is not None:
+                # A run's search: the min-norm direction at x, stretched by
+                # 2**stretch so that it backtracks about that many times.
+                try:
+                    grads = get_problem(name).jacobian(x)
+                except EvaluationOverflowError:
+                    hypothesis.reject()
+                g_s = np.ldexp(solve_direction(grads).gradient, stretch)
+            hypothesis.assume(np.isfinite(g_s).all() and g_s.any())
+            got = _search(_row_calls(get_problem(name), calls), x, g_s, grads, beta)
+            assert got == _search(_FreshPoints(get_problem(name)), x, g_s, grads, beta)
+            (t, *_), _ = got
+            if not isinstance(t, type):
+                t = "first block" if t >= 2.0**-7 else "second block"
+            outcomes[t] += 1
+
+        check()
+        assert calls["rows"]
+        assert set(outcomes) == {
+            "first block", "second block", LineSearchError, EvaluationOverflowError
+        }
 
 
 def test_public_call_sees_an_in_place_change():

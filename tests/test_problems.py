@@ -72,12 +72,31 @@ class TestEvaluate:
             (np.zeros(2), "ab", run_adagrad, r"jacobian .* \(2, 2\)"),
             # The Jacobian is well formed: the first line search's evaluate fails.
             (np.zeros(3), np.eye(2), run_descent, r"objectives .* \(2,\)"),
+            # Complex values, whose conversion would drop the imaginary part.
+            (np.array([1 + 2j, 3.0]), np.eye(2), _evaluate, r"objectives .* \(2,\): complex"),
+            (np.zeros(2), np.eye(2) + 1j, _jacobian, r"jacobian .* \(2, 2\): complex"),
+            (np.zeros(2), np.eye(2) + 1j, run_adagrad, r"jacobian .* \(2, 2\): complex"),
         ],
     )
     def test_malformed_oracle_output_rejected(self, values, rows, call, expected):
         p = MultiObjectiveProblem("ODD", 2, 2, [1.0, 1.0], lambda x: values, lambda x: rows)
         with pytest.raises(InputError, match=f"ODD: {expected}"):
             call(p)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (lambda X: np.zeros((len(X), 3)), r"\(8, 2\)"),
+            (lambda X: np.zeros((len(X), 2)) + 1j, r"\(8, 2\): complex"),
+        ],
+    )
+    def test_malformed_row_oracle_output_rejected(self, rows, expected):
+        # The first line search tests its first block of 8 candidates.
+        p = MultiObjectiveProblem(
+            "ODD", 2, 2, [1.0, 1.0], lambda x: x.copy(), lambda x: np.eye(2), rows
+        )
+        with pytest.raises(InputError, match=f"ODD: rows output is not floats of shape {expected}"):
+            run_descent(p)
 
     def test_nonfinite_point_rejected(self, reg_rosenbrock):
         with pytest.raises(InputError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import fd_jacobian, fd_relative_error
+from conftest import ROW_NAMES, fd_jacobian, fd_relative_error
 from mograd import (
     CATALOG,
     EvaluationOverflowError,
@@ -249,6 +249,74 @@ class TestBitExactFormulas:
             assert _bits(pair.jacobian(x)) == _bits(want)
             want = np.vstack([vardim.gradient(x), 2.0 * x])
             assert _bits(reg.jacobian(x)) == _bits(want)
+
+
+class TestRowForms:
+    def test_row_oracles_in_the_catalog(self):
+        assert sorted(name for name in CATALOG if get_problem(name)._rows) == ROW_NAMES
+
+    def test_rows_are_the_one_point_oracles_bit_for_bit(self):
+        # Blocks whose entries span 1e-200 to 1e200 in magnitude, with
+        # zeros: rows overflow to inf as the one-point oracle's numpy
+        # scalars do, where Python's float ** raises.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        entry = st.one_of(
+            st.just(0.0),
+            st.builds(
+                lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+                st.sampled_from([-1.0, 1.0]),
+                st.floats(1.0, 9.99),
+                st.one_of(st.integers(-2, 1), st.integers(-200, 200)),
+            ),
+        )
+        blocks = st.integers(1, 12).flatmap(
+            lambda k: hnp.arrays(float, (k, 10), elements=entry)
+        )
+        pairs = [get_problem(name) for name in ROW_NAMES]
+        scalars = [p for p in SCALAR_PROBLEMS.values() if p.rows is not None]
+        assert [p.name for p in scalars] == ["ARWHEAD", "VARDIM", "BROWNAL"]
+        overflowed = []
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(X=blocks)
+        # Rows where libm pow and numpy's array ** round apart: in ARWHEAD's
+        # x[-1]**2, BROWNAL's (prod - 1)**2, VARDIM's lin**4 and lin**2.
+        @hypothesis.example(X=np.array([
+            [0.0] * 9 + [1.749212831820396],
+            [1.0] * 9 + [1.5500864143512556],
+            [
+                1.9504106163140822, 0.4623879469064449, 0.9714216230922779,
+                1.6504684016313387, 0.4816273114248806, 1.3456436141343375,
+                1.4588602292410167, 0.3572932136581122, 1.448188964799058,
+                1.4386319466008903,
+            ],
+            [
+                0.18707498536912537, 0.15908433294796964, 0.22885794367652967,
+                1.3927527858063777, 0.5711475603094369, 1.980258447189782,
+                0.7814864377868103, 0.6478702819437276, 1.632602007345565,
+                0.23024467559546502,
+            ],
+        ]))
+        @hypothesis.example(X=np.full((2, 10), 1e200))
+        @hypothesis.example(X=np.array([[1e-200] * 10, [-3e77] + [1.0] * 9]))
+        def check(X):
+            with np.errstate(all="ignore"):
+                for p in scalars:
+                    Y = p.rows(X)
+                    assert Y.shape == (len(X),)
+                    for x, y in zip(X, Y):
+                        assert _bits(y) == _bits(p.value(x.copy()))
+                        overflowed.append(np.isinf(y))
+                for p in pairs:
+                    Y = p._rows(X)
+                    assert Y.shape == (len(X), 2)
+                    for x, y in zip(X, Y):
+                        assert _bits(y) == _bits(p._objectives(x.copy()))
+
+        check()
+        assert any(overflowed) and not all(overflowed)
 
 
 class TestOverflow:
