@@ -21,12 +21,13 @@ from .problems import (
     EvaluationOverflowError,
     InputError,
     LineSearchError,
+    _check_array,
     _check_positive,
     _check_x,
-    _in_run,
     _is_finite_number,
     _is_int,
     _is_number,
+    _public,
     run_scope,
 )
 from .records import RunRecord, RunStatus, _TrajectoryBuilder
@@ -91,6 +92,16 @@ class AdagradConfig(SolverConfig):
         super()._check_ranges()
 
 
+def _step_args(x, w, g_s):
+    """The arguments of a public :func:`adagrad_step` call, checked in that order."""
+    x = _check_array(x, (None,), "x")
+    g_s = _check_array(g_s, x.shape, "g_s")
+    if not (_is_number(w) and w > 0 and (w == math.inf or _is_finite_number(w))):
+        raise InputError(f"w must be a number > 0, got {w!r}")
+    return x, w, g_s
+
+
+@_public(_step_args)
 def adagrad_step(x, w, g_s):
     """Advance the recursion by one step; pure, no oracle calls.
 
@@ -98,23 +109,12 @@ def adagrad_step(x, w, g_s):
     ``w_next = sqrt(w^2 + ||g_s||^2)``: the weight is updated before the
     move.  A non-finite entry of ``g_s`` raises :class:`InputError`; a
     square that overflows is taken as inf, without a warning.  A public
-    call, outside a run, also refuses an ``x`` that is not a finite 1-d
-    array, a ``g_s`` of another shape, and a ``w`` that is not a number
-    > 0, finite as a float; ``w = inf`` passes, as the step itself returns
-    it once a square overflows.
+    call, outside a run, checks ``x`` as finite floats of one axis and
+    ``g_s`` as finite floats of its shape (:func:`~mograd.problems._check_array`),
+    and refuses a ``w`` that is not a number > 0, finite as a float;
+    ``w = inf`` passes, as the step itself returns it once a square
+    overflows.  Inside a run, ``g_s`` is the subproblem's float gradient.
     """
-    if not _in_run():
-        x = np.asarray(x, dtype=float)
-        g_s = np.asarray(g_s, dtype=float)
-        if x.ndim != 1 or not np.isfinite(x).all():
-            raise InputError("x must be a 1-d array of finite entries")
-        if g_s.shape != x.shape:
-            raise InputError(f"g_s has shape {g_s.shape}, expected {x.shape}")
-        if not (_is_number(w) and w > 0 and (w == math.inf or _is_finite_number(w))):
-            raise InputError(f"w must be a number > 0, got {w!r}")
-        with run_scope():
-            return adagrad_step(x, w, g_s)
-    g_s = np.asarray(g_s, dtype=float)
     sq = float(g_s.dot(g_s))
     # The square is finite unless an entry is non-finite or it overflows.
     if not math.isfinite(sq) and not np.isfinite(g_s).all():
@@ -139,7 +139,7 @@ def _drive(problem, x0, config, seed, solver, step):
     with ``w >= |g|``, so it moves each entry by at most about 1; an Armijo
     step is ``t * g`` with ``t <= 1``.
     """
-    x = _check_x(problem, np.array(problem.standard_start if x0 is None else x0, dtype=float))
+    x = _check_x(problem, problem.standard_start if x0 is None else x0).copy()
     traj = _TrajectoryBuilder(config.thin)
     status = RunStatus.BUDGET_EXHAUSTED
     reason = None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adagrad import SolverConfig, _drive
 from .problems import EvaluationOverflowError, InputError, LineSearchError
-from .problems import _check_x, _finite, _in_run, run_scope
+from .problems import _check_array, _check_x, _finite, _public
 
 # Not called here: perfbench/spans.py patches descent.solve_direction.
 from .subproblem import solve_direction  # noqa: F401
@@ -44,6 +44,19 @@ class DescentConfig(SolverConfig):
         super()._check_ranges()
 
 
+def _search_args(problem, x, g_s, grads, beta):
+    """The arguments of a public :func:`armijo_backtrack` call, checked in that order."""
+    m, n = problem.m, problem.n
+    x = _check_x(problem, x)
+    g_s = _check_array(g_s, (n,), "g_s")
+    if not g_s.any():
+        raise InputError("g_s is zero: a line search needs a nonzero direction")
+    grads = _check_array(grads, (m, n), "grads")
+    DescentConfig(beta=beta)  # the one beta check
+    return problem, x, g_s, grads, beta
+
+
+@_public(_search_args)
 def armijo_backtrack(problem, x, g_s, grads, beta):
     """Halve t from 1 until every objective meets the Armijo decrease.
 
@@ -77,20 +90,6 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     loop's.  Every other problem, a noisy or duck-typed one included, runs
     that loop.
     """
-    if not _in_run():
-        with run_scope():
-            x = _check_x(problem, x)
-            g_s = np.asarray(g_s, dtype=float)
-            m, n = problem.m, problem.n
-            if g_s.shape != (n,) or not np.isfinite(g_s).all() or not g_s.any():
-                raise InputError(f"line search needs a finite nonzero direction of shape ({n},)")
-            grads = np.asarray(grads, dtype=float)
-            if grads.shape != (m, n):
-                raise InputError(f"grads have shape {grads.shape}, expected ({m}, {n})")
-            if not np.isfinite(grads).all():
-                raise InputError("grads contain non-finite entries")
-            DescentConfig(beta=beta)  # the one beta check
-            return armijo_backtrack(problem, x, g_s, grads, beta)
     # In a run, the driver searches only along a finite direction with
     # omega above tol^2, so g_s is finite and nonzero, and grads is finite.
     # t is a power of two, so t * (beta * slopes) is beta * t * slopes bit
@@ -100,8 +99,7 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
         top = float(np.abs(grads).max())
         margin = beta * (grads / top).dot(g_s) * top
     fx = problem.evaluate(x)
-    point = x - g_s
-    if not _finite(point):
+    if not _finite(x - g_s):
         raise EvaluationOverflowError(
             f"{problem.name}: line search point is non-finite from x={x}", None, x
         )
@@ -112,20 +110,18 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
             if point is not None:
                 return float(ts[i]), used + i + 1, point
             used += len(ts)
-        raise LineSearchError(f"backtracking fell below min_step={MIN_STEP:.3e}")
-    fx, margin = fx.tolist(), margin.tolist()
-    t = 1.0
-    # One objective at a time in Python floats (see above): for the small m
-    # of a line search, a third of the cost of four numpy calls.
-    while True:
-        candidate = problem.evaluate(point).tolist()
-        used += 1
-        if all(c <= f - t * mg for c, f, mg in zip(candidate, fx, margin)):
-            return t, used, point
-        t *= 0.5
-        if t < MIN_STEP:
-            raise LineSearchError(f"backtracking fell below min_step={MIN_STEP:.3e}")
-        point = x - t * g_s
+    else:
+        fx, margin = fx.tolist(), margin.tolist()
+        # One objective at a time in Python floats (see above): for the
+        # small m of a line search, a third of the cost of four numpy calls.
+        # x - 1.0 * g_s is x - g_s bit for bit.
+        for t in _STEPS.tolist():
+            point = x - t * g_s
+            candidate = problem.evaluate(point).tolist()
+            used += 1
+            if all(c <= f - t * mg for c, f, mg in zip(candidate, fx, margin)):
+                return t, used, point
+    raise LineSearchError(f"backtracking fell below min_step={MIN_STEP:.3e}")
 
 
 def run_descent(problem, x0=None, config=None, *, seed=None):

@@ -24,6 +24,7 @@ from .descent import DescentConfig, run_descent
 from .problems import (
     InputError,
     NoiseSpec,
+    _check_array,
     _check_positive,
     _check_seed,
     _is_finite_number,
@@ -78,7 +79,8 @@ def performance_profile(costs, tau_grid=None):
 
     ``costs`` maps (problem, solver) pairs to a positive cost, or to
     None/inf for a failed run.  Failures never count as solved at any
-    tau; the denominator is always the full problem count.
+    tau; the denominator is always the full problem count.  ``tau_grid``
+    must be finite floats of one axis (:class:`InputError`).
     """
     if not costs:
         raise InputError("empty cost table")
@@ -86,7 +88,7 @@ def performance_profile(costs, tau_grid=None):
     solvers = sorted({s for _, s in costs})
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 4.0, 81)
-    tau = np.asarray(tau_grid, dtype=float)
+    tau = _check_array(tau_grid, (None,), "tau_grid")
 
     ratios = {}
     for p in problems:
@@ -211,11 +213,15 @@ def run_cell(problem_name, solver, seed=0, rho=0.0, **params):
 
     ``params`` are the cell parameters of a config (``budget``,
     ``criticality_tol``, ``varsigma``, ``beta``, ``thin``), with the same
-    defaults.  Benchmark problems start uniformly in their box (seeded);
-    all other instances use their standard start.  The same seed also
-    seeds the noise stream when rho != 0; :class:`NoiseSpec` checks both
-    before the problem is built.
+    defaults; any other name is a :class:`ConfigError`.  Benchmark
+    problems start uniformly in their box (seeded); all other instances
+    use their standard start.  The same seed also seeds the noise stream
+    when rho != 0; :class:`NoiseSpec` checks both before the problem is
+    built.
     """
+    unknown = set(params) - set(_CELL_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown cell parameters: {sorted(unknown)}")
     _check_problem(problem_name)
     spec = NoiseSpec(rho=rho, seed=seed)
     entry = CATALOG[problem_name]

@@ -42,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import InputError, MultiObjectiveProblem, _check_seed, _in_run, _is_int
+from .problems import (
+    InputError,
+    MultiObjectiveProblem,
+    _check_array,
+    _check_seed,
+    _in_run,
+    _is_int,
+    _public,
+)
 
 KINDS = ("quadrants", "diagonals")
 
@@ -145,25 +153,28 @@ def generate_dataset(kind, N=10_000, seed=0):
     )
 
 
+def _finite_params(dataset, params):
+    """``params`` as finite floats of shape (n_params,): the check of every public call."""
+    return _check_array(params, (dataset.n_params,), "params")
+
+
+# The decorator of the oracles: a public call checks ``params``.
+_oracle = _public(
+    lambda dataset, split, params: (dataset, split, _finite_params(dataset, params))
+)
+
+
+@_public(lambda dataset, params: (dataset, _finite_params(dataset, params)))
 def split_params(dataset, params):
-    """Task-1 and task-2 weights, views of float ``params``: the layout's one owner."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (dataset.n_params,):
-        raise InputError(
-            f"params have shape {params.shape}, expected ({dataset.n_params},)"
-        )
+    """Task-1 and task-2 weights, views of ``params``: the layout's one owner.
+
+    A public call checks ``params`` (:func:`_finite_params`), and a float64
+    array passes it unchanged, so the weights are views of it.
+    """
     d = dataset.n_features
     if dataset.kind == "quadrants":
         return params[: d * 4].reshape(d, 4), params[d * 4 :]
     return params[:d], params[d:]
-
-
-def _finite_params(params):
-    """``params`` as floats; :class:`InputError` if an entry is not finite."""
-    params = np.asarray(params, dtype=float)
-    if not np.isfinite(params).all():
-        raise InputError("params contain non-finite entries")
-    return params
 
 
 # eq=False: a block hashes by identity, as a key of the run scope's memo.
@@ -252,21 +263,18 @@ def _probabilities(dataset, split, params):
     Inside a :class:`~mograd.problems.run_scope`, the pass is stored in the
     scope's memo at the ``params`` object (``is``, not ``==``) under the
     block, so :func:`losses` and :func:`loss_gradients` at one point
-    compute it once.  Outside a run every call computes its own, and
-    non-finite ``params`` raise :class:`InputError`.  Neither consumer
-    writes into the probabilities.
+    compute it once; a public call has a scope of its own, so it computes
+    its own.  Neither consumer writes into the probabilities.
     """
     block = _split_block(dataset, split)
 
     def forward(params):
         return _forward(dataset.kind, block.XT, *split_params(dataset, params))
 
-    scope = _in_run()
-    if scope is None:
-        return block, forward(_finite_params(params))
-    return block, scope.value(block, params, forward)
+    return block, _in_run().value(block, params, forward)
 
 
+@_oracle
 def losses(dataset, split, params):
     """Mean cross-entropies (J1, J2) of the two tasks on one split."""
     block, (p1, p2) = _probabilities(dataset, split, params)
@@ -283,6 +291,7 @@ def losses(dataset, split, params):
     return j1, _binary_ce(p2, block.target2)
 
 
+@_oracle
 def loss_gradients(dataset, split, params):
     """Analytic gradient rows, shape (2, P); cross-task blocks are zero."""
     block, (p1, p2) = _probabilities(dataset, split, params)
@@ -290,11 +299,6 @@ def loss_gradients(dataset, split, params):
     N = XT.shape[1]
     out = np.zeros((2, dataset.n_params))
     split_params(dataset, out[1])[1][...] = XT @ (p2 - block.target2) / N
-    # Freed before the task-1 residual is allocated.  Outside a run nothing
-    # else holds p2, and a call that peaks above about two (4, N) arrays
-    # makes the C allocator hand the heap back after every call, which the
-    # next call then page-faults in again.
-    del p2
     r = p1 - block.target1
     # r.T of a binary task's N-vector residual is the residual itself.
     split_params(dataset, out[0])[0][...] = XT @ r.T / N
@@ -306,11 +310,11 @@ def accuracy(dataset, split, params):
 
     Task 1 predicts the argmax class (ties to the lowest class), binary
     tasks predict 1 only on strictly positive logits, matching the
-    two-class argmax convention.  Non-finite ``params`` raise
-    :class:`InputError`.
+    two-class argmax convention.  ``params`` are checked as in a public
+    :func:`losses` call.
     """
     block = _split_block(dataset, split)
-    w1, w2 = split_params(dataset, _finite_params(params))
+    w1, w2 = split_params(dataset, params)
     if dataset.kind == "quadrants":
         # An argmax along the last axis runs in place; along the first it
         # copies, so this one product stays sample-major.

@@ -92,25 +92,54 @@ def _finite(a):
     return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
 
 
+def _as_floats(value):
+    """``value`` as a float64 array: the one conversion of every array checked here.
+
+    A float64 array passes through as it is.  A value numpy cannot convert
+    raises numpy's TypeError, ValueError or OverflowError, and a complex
+    one a TypeError, since its conversion would drop the imaginary part.
+    """
+    a = np.asarray(value)
+    if a.dtype.char != "d":
+        if a.dtype.kind == "c":
+            raise TypeError("complex values")
+        a = a.astype(float)
+    return a
+
+
 def _floats(name, oracle, out, shape):
     """The oracle output ``out`` as a float array of ``shape``.
 
     An output that does not convert to floats of that shape (any entries
     of the right number pass, as ``reshape`` takes them) is an
     :class:`InputError` naming the problem, the oracle and the shape.  So
-    is a complex one, whose conversion would drop the imaginary part.
+    is a complex one (:func:`_as_floats`).
     """
     try:
-        a = np.asarray(out)
-        if a.dtype.char != "d":
-            if a.dtype.kind == "c":
-                raise TypeError("complex values")
-            a = a.astype(float)
-        return a.reshape(shape)
-    except (TypeError, ValueError) as exc:
+        return _as_floats(out).reshape(shape)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(
             f"{name}: {oracle} output is not floats of shape {shape}: {exc}"
         ) from None
+
+
+def _check_array(value, shape, what):
+    """``value`` as finite float64 of exactly ``shape``: the one rule for an input array.
+
+    A ``None`` in ``shape`` leaves that length free.  Anything else is an
+    :class:`InputError` naming ``what``: it "is not real floats" (complex,
+    or not convertible, as :func:`_as_floats` has it), "has shape S,
+    expected T", or "contains non-finite entries".
+    """
+    try:
+        a = _as_floats(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} is not real floats: {exc}") from None
+    if a.ndim != len(shape) or any(t is not None and t != s for s, t in zip(a.shape, shape)):
+        raise InputError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} contains non-finite entries")
+    return a
 
 
 def _overflow(name, values, x):
@@ -183,26 +212,33 @@ class run_scope:
 
 
 def _check_x(problem, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise InputError(
-            f"{problem.name}: point has shape {x.shape}, expected ({problem.n},)"
-        )
-    if not np.isfinite(x).all():
-        raise InputError(f"{problem.name}: point contains non-finite entries")
-    return x
+    """``x`` checked as a point of ``problem`` (:func:`_check_array`)."""
+    return _check_array(x, (problem.n,), f"{problem.name}: point")
 
 
-def _oracle(method):
-    """Outside a run, check ``x`` and call ``method`` in a scope of its own."""
-    @functools.wraps(method)
-    def oracle(self, x):  # not *args: that doubles the cost of an in-run call
-        if _in_run():
-            return method(self, x)
-        with run_scope():
-            return method(self, _check_x(self, x))
+def _public(check):
+    """Decorate a function that a solver run also calls.
 
-    return oracle
+    Outside a run, a call enters a :class:`run_scope` of its own and runs
+    the function on ``check(*args, **kwargs)``, which returns the
+    arguments checked or raises :class:`InputError`.  Inside a run the
+    function runs on its arguments as they are: the run made them.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def public(*args, **kwargs):
+            if _in_run():
+                return fn(*args, **kwargs)
+            with run_scope():
+                return fn(*check(*args, **kwargs))
+
+        return public
+
+    return decorate
+
+
+# The oracle methods' decorator: a public call checks its point.
+_oracle = _public(lambda problem, x: (problem, _check_x(problem, x)))
 
 
 @dataclass
@@ -235,9 +271,10 @@ class MultiObjectiveProblem:
         candidates in one call (:meth:`_armijo_rows`).
 
     An ``n`` or ``m`` that is not an int >= 1 (not a bool) raises
-    :class:`InputError`, as does an oracle output that does not convert to
-    floats of the expected shape, or is complex, in a public call and
-    inside a run alike.
+    :class:`InputError`, as does a ``standard_start`` that is not finite
+    floats of shape (n,) (:func:`_check_array`), and an oracle output
+    that does not convert to floats of the expected shape, or is complex,
+    in a public call and inside a run alike.
 
     A row form is bit for bit its one-point oracle only if it follows
     three rules, which the catalog's row forms keep (:mod:`mograd.suite`:
@@ -262,12 +299,9 @@ class MultiObjectiveProblem:
         self.name = str(name)
         self.n = int(n)
         self.m = int(m)
-        self.standard_start = np.asarray(standard_start, dtype=float).copy()
-        if self.standard_start.shape != (self.n,):
-            raise InputError(
-                f"{name}: standard_start has shape {self.standard_start.shape}, "
-                f"expected ({self.n},)"
-            )
+        self.standard_start = _check_array(
+            standard_start, (self.n,), f"{name}: standard_start"
+        ).copy()
         self._objectives = objectives
         self._jacobian = jacobian
         self._rows = rows
@@ -280,10 +314,11 @@ class MultiObjectiveProblem:
     def evaluate(self, x):
         """Objective vector f(x), counted as one objective evaluation.
 
-        A public call checks ``x`` and raises :class:`InputError` for a
-        wrong shape or a non-finite entry.  Inside a solver run the point
-        is not checked again, and a call at the run's last point object
-        returns this problem's value stored there (see :class:`run_scope`).
+        A public call checks ``x`` (:func:`_check_array`): a complex or
+        unconvertible value, a wrong shape or a non-finite entry raises
+        :class:`InputError`.  Inside a solver run the point is not checked
+        again, and a call at the run's last point object returns this
+        problem's value stored there (see :class:`run_scope`).
         """
         y = _in_run().value(self, x, self._value)
         self.counters.objective_evals += 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ConvergenceError, InputError, _check_positive
+from .problems import ConvergenceError, InputError, _check_array, _check_positive, _public
 
 
 class UnsupportedSizeError(InputError):
@@ -64,13 +64,10 @@ class SubproblemSolution:
 
 
 def _check_matrix(G):
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2:
-        raise InputError(f"gradient matrix must be 2-d, got shape {G.shape}")
+    """``G`` checked as a 2-d gradient matrix (:func:`_check_array`), not empty."""
+    G = _check_array(G, (None, None), "gradient matrix")
     if G.size == 0:
         raise InputError(f"gradient matrix is empty, got shape {G.shape}")
-    if not np.isfinite(G).all():
-        raise InputError("gradient matrix contains non-finite entries")
     return G
 
 
@@ -106,12 +103,7 @@ def kkt_residual(G, weights):
     normalization by max|G|^2 with it, so the residual stays finite.
     """
     G = _check_matrix(G)
-    lam = np.asarray(weights, dtype=float)
-    if lam.shape != (G.shape[0],):
-        raise InputError(
-            f"weights have shape {lam.shape}, expected ({G.shape[0]},)"
-        )
-    # Written as a test the weights pass, so that a NaN weight fails it.
+    lam = _check_array(weights, (G.shape[0],), "weights")
     if not (lam.min() >= -1e-9 and abs(lam.sum() - 1.0) <= 1e-9):
         raise InputError("weights must lie on the unit simplex")
     top = float(np.abs(G).max())
@@ -133,10 +125,8 @@ def min_norm_two(g1, g2):
     The squared norm of lam*g1 + (1-lam)*g2 is a parabola in lam; its
     unconstrained minimizer is clamped to [0, 1].
     """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if g1.shape != g2.shape or g1.ndim != 1:
-        raise InputError("min_norm_two expects two vectors of equal length")
+    g1 = _check_array(g1, (None,), "g1")
+    g2 = _check_array(g2, g1.shape, "g2")
     return _min_norm_rows(np.array([g1, g2]))
 
 
@@ -251,13 +241,17 @@ def min_norm_element(G, tol=DEFAULT_TOL):
     )
 
 
+@_public(lambda G, tol=DEFAULT_TOL: (_check_matrix(G), tol))
 def solve_direction(G, tol=DEFAULT_TOL):
     """Subproblem route used inside the solvers.
 
     Two objectives take the exact closed form; larger instances run
-    Wolfe's active-set method, which checks G itself.
+    Wolfe's active-set method.  A public call checks G first
+    (:func:`_check_matrix`).  Inside a run G is the float array a
+    ``jacobian`` returned, and each route checks it as it always does:
+    the closed form by its scale test, Wolfe's method by
+    :func:`_check_matrix`.
     """
-    G = np.asarray(G, dtype=float)
     if G.ndim == 2 and G.shape[0] == 2:
         return _min_norm_rows(G)
     return min_norm_element(G, tol=tol)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import InputError, MultiObjectiveProblem, _check_seed
+from .problems import InputError, MultiObjectiveProblem, _check_array, _check_seed
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _arwhead_grad(x):
 @functools.cache
 def _index(n):
     """The float index 1, ..., n (read-only, shared by every call)."""
-    idx = np.arange(1, n + 1, dtype=float)
+    idx = np.arange(1.0, n + 1)
     idx.flags.writeable = False
     return idx
 
@@ -284,10 +284,11 @@ def quadratic_pair(a=(1.0, 0.0), b=(-1.0, 0.0)):
     The Pareto set is the segment [a, b]; every gradient is x - c_j, so
     L_max = 1, and the minimum of max(f_1, f_2) sits at the midpoint with
     value ||a - b||^2 / 8.  Used throughout the tests because every
-    quantity of the convergence theory is known exactly.
+    quantity of the convergence theory is known exactly.  Each center
+    must be finite floats of one axis, b of a's shape (:class:`InputError`).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _check_array(a, (None,), "center a")
+    b = _check_array(b, a.shape, "center b")
     problem = _pair(
         "QUADPAIR", a.size, (a + b) / 2.0,
         lambda x: 0.5 * ((x - a) @ (x - a)), lambda x: x - a,

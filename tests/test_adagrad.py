@@ -75,8 +75,8 @@ class TestStep:
             ((x, np.nan, g), "w must be a number > 0"),
             ((x, True, g), "w must be a number > 0"),
             ((x, 10**400, g), "w must be a number > 0"),
-            ((np.array([np.nan, 0.0]), 1.0, g), "x must be a 1-d array of finite entries"),
-            ((np.zeros((1, 2)), 1.0, g[None, :]), "x must be a 1-d array of finite entries"),
+            ((np.array([np.nan, 0.0]), 1.0, g), "x contains non-finite entries"),
+            ((np.zeros((1, 2)), 1.0, g[None, :]), r"x has shape \(1, 2\), expected \(None,\)"),
             ((x, 1.0, np.ones(3)), r"g_s has shape \(3,\), expected \(2,\)"),
         ]:
             with pytest.raises(InputError, match=message):

@@ -169,8 +169,8 @@ class TestArmijo:
     @pytest.mark.parametrize(
         "grads, beta, message",
         [
-            (np.zeros((2, 3)), 0.1, "grads have shape"),
-            (np.full((2, 2), np.nan), 0.1, "grads contain non-finite entries"),
+            (np.zeros((2, 3)), 0.1, "grads has shape"),
+            (np.full((2, 2), np.nan), 0.1, "grads contains non-finite entries"),
             (None, 5.0, "beta must be in"),
             (None, math.nan, "beta must be in"),
             (None, -1.0, "beta must be in"),

@@ -217,6 +217,13 @@ class TestRunCell:
                 run_cell(name, "adagrad", seed=seed, rho=rho, budget=50)
         assert starts == []
 
+    def test_unknown_parameter_rejected_before_the_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_adagrad", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ConfigError, match=r"unknown cell parameters: \['foo'\]"):
+            run_cell("MOP1", "adagrad", seed=0, budget=3, foo=1)
+        with pytest.raises(ConfigError, match=r"unknown cell parameters: \['a', 'z'\]"):
+            run_cell("MOP1", "adagrad", z=1, a=2)
+
     def test_unknown_solver(self):
         with pytest.raises(ConfigError):
             run_cell("MOP1", "simplex")

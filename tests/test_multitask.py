@@ -172,7 +172,7 @@ class TestDataset:
             (accuracy, q, np.full(25, np.nan)),
             (losses, q, np.r_[np.zeros(24), -np.inf]),
         ]:
-            with pytest.raises(InputError, match="params contain non-finite entries"):
+            with pytest.raises(InputError, match="params contains non-finite entries"):
                 oracle(dataset, "test", params)
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5, None])

@@ -18,6 +18,7 @@ from mograd import (
     solve_direction,
     subproblem,
 )
+from mograd.problems import run_scope
 from mograd.suite import SCALAR_PROBLEMS
 
 
@@ -255,9 +256,9 @@ class TestMinNormElement:
             min_norm_element(np.ones((2, 2)), tol=0.0)
         with pytest.raises(InputError):
             min_norm_element(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(InputError, match="must be 2-d, got shape"):
+        with pytest.raises(InputError, match=r"has shape \(3,\), expected \(None, None\)"):
             min_norm_element(np.ones(3))
-        with pytest.raises(InputError, match="two vectors of equal length"):
+        with pytest.raises(InputError, match=r"g2 has shape \(3,\), expected \(2,\)"):
             min_norm_two(np.ones(2), np.ones(3))
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0), (0, 0)])
@@ -425,10 +426,12 @@ class TestKktResidual:
 
     def test_off_simplex_rejected(self):
         G = np.eye(2)
-        for weights in ([0.6, 0.6], [np.nan, np.nan], [np.nan, 1.0]):
-            with pytest.raises(InputError, match="unit simplex"):
+        with pytest.raises(InputError, match="unit simplex"):
+            kkt_residual(G, np.array([0.6, 0.6]))
+        for weights in ([np.nan, np.nan], [np.nan, 1.0]):
+            with pytest.raises(InputError, match="weights contains non-finite entries"):
                 kkt_residual(G, np.array(weights))
-        with pytest.raises(InputError, match=r"weights have shape \(3,\), expected \(2,\)"):
+        with pytest.raises(InputError, match=r"weights has shape \(3,\), expected \(2,\)"):
             kkt_residual(G, np.array([0.2, 0.3, 0.5]))
 
 
@@ -547,14 +550,19 @@ class TestSolveDirection:
 
         monkeypatch.setattr(subproblem, "_check_matrix", counting)
         G = np.array([[1.0, 2.0], [3.0, -1.0]])
-        solve_direction(G)
-        # In range, the scale test that picks the route is the only check.
-        assert calls == []
-        with pytest.raises(InputError):
-            solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
-        assert calls == [(2, 2)]
+        # Inside a run, in range, the scale test that picks the route is the
+        # only check; a public call checks G first.
+        with run_scope():
+            solve_direction(G)
+            assert calls == []
+            with pytest.raises(InputError):
+                solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
+            assert calls == [(2, 2)]
+            calls.clear()
+            solve_direction(1e200 * G)
+            assert calls == [(2, 2)]
         calls.clear()
-        solve_direction(1e200 * G)
+        solve_direction(G)
         assert calls == [(2, 2)]
 
     def test_three_rows_checked_once(self, monkeypatch):
@@ -575,11 +583,12 @@ class TestSolveDirection:
         # The tracer counts min_norm_element through the module global.
         monkeypatch.setattr(subproblem, "min_norm_element", counted_solve)
         G = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
-        solve_direction(G, tol=1e-12)
-        assert calls == [(3, 2)]
-        assert solves == [1e-12]
-        with pytest.raises(InputError):
-            solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
+        with run_scope():
+            solve_direction(G, tol=1e-12)
+            assert calls == [(3, 2)]
+            assert solves == [1e-12]
+            with pytest.raises(InputError):
+                solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
 
 
 def _closed_form_reference(G):
