@@ -23,13 +23,13 @@ from .subproblem import solve_direction  # noqa: F401
 
 MIN_STEP = 2.0**-50
 
-# The steps t = 1, 1/2, ..., MIN_STEP, in the two blocks a row oracle tests
-# them in: 1 to 2**-7, then the rest.  ARWHEAD-VARDIM and BROWNAL-VARDIM
-# descent (budget 2 000) took 0.46 s so, 0.51 s with one block of every
-# step and 0.83 s with blocks doubling from one row (2-core Xeon).
-_STEPS = np.ldexp(1.0, -np.arange(int(-math.log2(MIN_STEP)) + 1))
-_STEPS.flags.writeable = False
-_BLOCKS = (_STEPS[:8], _STEPS[8:])
+# The steps t = 1, 1/2, ..., MIN_STEP as Python floats, which the
+# per-candidate loop walks, and the two blocks a row oracle tests them in:
+# 1 to 2**-7, then the rest.  ARWHEAD-VARDIM and BROWNAL-VARDIM descent
+# (budget 2 000) took 0.46 s so, 0.51 s with one block of every step and
+# 0.83 s with blocks doubling from one row (2-core Xeon).
+_STEPS = np.ldexp(1.0, -np.arange(int(-math.log2(MIN_STEP)) + 1)).tolist()
+_BLOCKS = (np.array(_STEPS[:8]), np.array(_STEPS[8:]))
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,11 @@ class DescentConfig(SolverConfig):
 
 def _search_args(problem, x, g_s, grads, beta):
     """The arguments of a public :func:`armijo_backtrack` call, checked in that order."""
-    m, n = problem.m, problem.n
     x = _check_x(problem, x)
-    g_s = _check_array(g_s, (n,), "g_s")
+    g_s = _check_array(g_s, (problem.n,), "g_s")
     if not g_s.any():
         raise InputError("g_s is zero: a line search needs a nonzero direction")
-    grads = _check_array(grads, (m, n), "grads")
+    grads = _check_array(grads, (problem.m, problem.n), "grads")
     DescentConfig(beta=beta)  # the one beta check
     return problem, x, g_s, grads, beta
 
@@ -99,7 +98,8 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
         top = float(np.abs(grads).max())
         margin = beta * (grads / top).dot(g_s) * top
     fx = problem.evaluate(x)
-    if not _finite(x - g_s):
+    first = x - g_s
+    if not _finite(first):
         raise EvaluationOverflowError(
             f"{problem.name}: line search point is non-finite from x={x}", None, x
         )
@@ -114,9 +114,8 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
         fx, margin = fx.tolist(), margin.tolist()
         # One objective at a time in Python floats (see above): for the
         # small m of a line search, a third of the cost of four numpy calls.
-        # x - 1.0 * g_s is x - g_s bit for bit.
-        for t in _STEPS.tolist():
-            point = x - t * g_s
+        for t in _STEPS:
+            point = x - t * g_s if t < 1.0 else first
             candidate = problem.evaluate(point).tolist()
             used += 1
             if all(c <= f - t * mg for c, f, mg in zip(candidate, fx, margin)):

@@ -153,22 +153,21 @@ def generate_dataset(kind, N=10_000, seed=0):
     )
 
 
-def _finite_params(dataset, params):
-    """``params`` as finite floats of shape (n_params,): the check of every public call."""
-    return _check_array(params, (dataset.n_params,), "params")
+def _split_args(dataset, params):
+    """A public :func:`split_params` call's arguments: ``params`` finite, of shape (n_params,)."""
+    return dataset, _check_array(params, (dataset.n_params,), "params")
 
 
-# The decorator of the oracles: a public call checks ``params``.
-_oracle = _public(
-    lambda dataset, split, params: (dataset, split, _finite_params(dataset, params))
-)
+def _oracle_args(dataset, split, params):
+    """A public :func:`losses` or :func:`loss_gradients` call's arguments (:func:`_split_args`)."""
+    return dataset, split, _split_args(dataset, params)[1]
 
 
-@_public(lambda dataset, params: (dataset, _finite_params(dataset, params)))
+@_public(_split_args)
 def split_params(dataset, params):
     """Task-1 and task-2 weights, views of ``params``: the layout's one owner.
 
-    A public call checks ``params`` (:func:`_finite_params`), and a float64
+    A public call checks ``params`` (:func:`_split_args`), and a float64
     array passes it unchanged, so the weights are views of it.
     """
     d = dataset.n_features
@@ -263,7 +262,7 @@ def _probabilities(dataset, split, params):
     Inside a :class:`~mograd.problems.run_scope`, the pass is stored in the
     scope's memo at the ``params`` object (``is``, not ``==``) under the
     block, so :func:`losses` and :func:`loss_gradients` at one point
-    compute it once; a public call has a scope of its own, so it computes
+    compute it once; a public call's scope keeps nothing, so it computes
     its own.  Neither consumer writes into the probabilities.
     """
     block = _split_block(dataset, split)
@@ -274,7 +273,7 @@ def _probabilities(dataset, split, params):
     return block, _in_run().value(block, params, forward)
 
 
-@_oracle
+@_public(_oracle_args)
 def losses(dataset, split, params):
     """Mean cross-entropies (J1, J2) of the two tasks on one split."""
     block, (p1, p2) = _probabilities(dataset, split, params)
@@ -291,7 +290,7 @@ def losses(dataset, split, params):
     return j1, _binary_ce(p2, block.target2)
 
 
-@_oracle
+@_public(_oracle_args)
 def loss_gradients(dataset, split, params):
     """Analytic gradient rows, shape (2, P); cross-task blocks are zero."""
     block, (p1, p2) = _probabilities(dataset, split, params)
@@ -299,6 +298,11 @@ def loss_gradients(dataset, split, params):
     N = XT.shape[1]
     out = np.zeros((2, dataset.n_params))
     split_params(dataset, out[1])[1][...] = XT @ (p2 - block.target2) / N
+    # Freed before the task-1 residual is allocated.  Outside a run nothing
+    # else holds p2, and a call that peaks above about two (4, N) arrays
+    # makes the C allocator hand the heap back after every call, which the
+    # next call then page-faults in again.
+    del p2
     r = p1 - block.target1
     # r.T of a binary task's N-vector residual is the residual itself.
     split_params(dataset, out[0])[0][...] = XT @ r.T / N

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ConvergenceError, InputError, _check_array, _check_positive, _public
+from .problems import ConvergenceError, InputError, _check_array, _check_positive
 
 
 class UnsupportedSizeError(InputError):
@@ -241,17 +241,18 @@ def min_norm_element(G, tol=DEFAULT_TOL):
     )
 
 
-@_public(lambda G, tol=DEFAULT_TOL: (_check_matrix(G), tol))
 def solve_direction(G, tol=DEFAULT_TOL):
     """Subproblem route used inside the solvers.
 
     Two objectives take the exact closed form; larger instances run
-    Wolfe's active-set method.  A public call checks G first
-    (:func:`_check_matrix`).  Inside a run G is the float array a
-    ``jacobian`` returned, and each route checks it as it always does:
-    the closed form by its scale test, Wolfe's method by
+    Wolfe's active-set method.  Each route checks a float64 G once, as a
+    run's ``jacobian`` returns it: the closed form by its scale test, and
+    :func:`_check_matrix` where that test fails; Wolfe's method by
+    :func:`_check_matrix`.  Any other G is first converted and checked by
     :func:`_check_matrix`.
     """
+    if type(G) is not np.ndarray or G.dtype.char != "d":
+        G = _check_matrix(G)
     if G.ndim == 2 and G.shape[0] == 2:
         return _min_norm_rows(G)
     return min_norm_element(G, tol=tol)

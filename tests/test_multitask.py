@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -366,6 +367,29 @@ class TestSharedForwardPass:
         assert len(calls) == 3
         assert after != before
         assert after == losses(ds, "train", theta.copy())
+
+    def test_public_gradient_frees_task2_probabilities_before_the_residual(self, monkeypatch):
+        # A public call's scope keeps no forward pass, so p2 dies at `del p2`,
+        # before the (4, N) task-1 residual exists: the last split_params
+        # call, on the task-1 row, comes after that residual.
+        ds = generate_dataset("quadrants", N=500, seed=4)
+        forward, split = multitask._forward, multitask.split_params
+        p2_refs, alive = [], []
+
+        def tracked_forward(*args):
+            p1, p2 = forward(*args)
+            p2_refs.append(weakref.ref(p2))
+            return p1, p2
+
+        def tracked_split(dataset, params):
+            alive.append(bool(p2_refs) and p2_refs[-1]() is not None)
+            return split(dataset, params)
+
+        monkeypatch.setattr(multitask, "_forward", tracked_forward)
+        monkeypatch.setattr(multitask, "split_params", tracked_split)
+        loss_gradients(ds, "train", np.zeros(ds.n_params))
+        # forward's own split, the task-2 row, the task-1 row.
+        assert alive == [False, True, False]
 
 
 class TestAccuracy:

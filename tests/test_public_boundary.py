@@ -186,13 +186,19 @@ def _count_checks(monkeypatch):
     return calls
 
 
-def test_solve_direction_checks_only_a_public_call(monkeypatch):
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_solve_direction_checks_a_float_matrix_once_in_its_route(monkeypatch, rows, scale):
+    G = scale * np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])[:rows]
+    # In range, the closed form's scale test is its only check.
+    expected = [] if (rows, scale) == (2, 1.0) else ["gradient matrix"]
     calls = _count_checks(monkeypatch)
+    solve_direction(G)
+    assert calls == expected
+    calls.clear()
     with run_scope():
-        solve_direction(np.array([[1.0, 2.0], [3.0, -1.0]]))
-    assert calls == []
-    solve_direction(np.array([[1.0, 2.0], [3.0, -1.0]]))
-    assert calls == ["gradient matrix"]
+        solve_direction(G)
+    assert calls == expected
 
 
 @pytest.mark.parametrize(

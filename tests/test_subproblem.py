@@ -18,7 +18,6 @@ from mograd import (
     solve_direction,
     subproblem,
 )
-from mograd.problems import run_scope
 from mograd.suite import SCALAR_PROBLEMS
 
 
@@ -550,19 +549,14 @@ class TestSolveDirection:
 
         monkeypatch.setattr(subproblem, "_check_matrix", counting)
         G = np.array([[1.0, 2.0], [3.0, -1.0]])
-        # Inside a run, in range, the scale test that picks the route is the
-        # only check; a public call checks G first.
-        with run_scope():
-            solve_direction(G)
-            assert calls == []
-            with pytest.raises(InputError):
-                solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
-            assert calls == [(2, 2)]
-            calls.clear()
-            solve_direction(1e200 * G)
-            assert calls == [(2, 2)]
-        calls.clear()
         solve_direction(G)
+        # In range, the scale test that picks the route is the only check.
+        assert calls == []
+        with pytest.raises(InputError):
+            solve_direction(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        assert calls == [(2, 2)]
+        calls.clear()
+        solve_direction(1e200 * G)
         assert calls == [(2, 2)]
 
     def test_three_rows_checked_once(self, monkeypatch):
@@ -583,12 +577,11 @@ class TestSolveDirection:
         # The tracer counts min_norm_element through the module global.
         monkeypatch.setattr(subproblem, "min_norm_element", counted_solve)
         G = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
-        with run_scope():
-            solve_direction(G, tol=1e-12)
-            assert calls == [(3, 2)]
-            assert solves == [1e-12]
-            with pytest.raises(InputError):
-                solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
+        solve_direction(G, tol=1e-12)
+        assert calls == [(3, 2)]
+        assert solves == [1e-12]
+        with pytest.raises(InputError):
+            solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
 
 
 def _closed_form_reference(G):
