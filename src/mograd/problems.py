@@ -409,9 +409,12 @@ class MultiObjectiveProblem:
 class NoiseSpec:
     """Multiplicative Gaussian noise: each oracle output a becomes a*(1+rho*xi).
 
-    xi ~ N(0, 1) is drawn fresh for every output entry on every call from a
+    One xi ~ N(0, 1) is drawn for every output entry on every call, from a
     generator seeded with ``seed``, so a wrapped problem replays exactly under
-    an identical call sequence.  A bad field raises :class:`InputError`.
+    an identical call sequence.  The draws are read from a buffer refilled by
+    one ``standard_normal(_NOISE_BUFFER)`` call, the same stream entry for
+    entry as one ``standard_normal(shape)`` call per output.  A bad field
+    raises :class:`InputError`.
     """
 
     rho: float
@@ -425,6 +428,10 @@ class NoiseSpec:
         _check_seed(self.seed)
 
 
+# Noise factors drawn at a time by a NoisyProblem: 32 KiB of them.
+_NOISE_BUFFER = 4096
+
+
 class NoisyProblem:
     """Relative-noise view of a base problem; counters live on the base.
 
@@ -433,8 +440,12 @@ class NoisyProblem:
     """
 
     def __init__(self, base, spec):
+        if not isinstance(spec, NoiseSpec):
+            raise InputError(f"noise must be given as a NoiseSpec, got {spec!r}")
         self._base = base
         self._rng = np.random.default_rng(spec.seed)
+        self._factors = np.empty(0)  # factors 1 + rho*xi not yet used
+        self._next = 0
         self.name = base.name
         self.n = base.n
         self.m = base.m
@@ -454,12 +465,22 @@ class NoisyProblem:
         """``values * (1 + rho*xi)``, which must stay finite like the base's.
 
         One draw per entry, row-major, in call order, so the stream layout is
-        reproducible.  A finite value can still overflow here; that is an
-        :class:`EvaluationOverflowError`, as in the base oracle.  Always
-        called in a run scope, whose ``np.errstate`` covers the overflow.
+        reproducible.  The factors ``1 + rho*xi`` come from a buffer that one
+        ``standard_normal(_NOISE_BUFFER)`` call refills (a larger output
+        draws what it lacks), the same stream entry for entry as a draw of
+        ``values.shape`` per call.  A finite value can still overflow here;
+        that is an :class:`EvaluationOverflowError`, as in the base oracle,
+        and its draws are used.  Always called in a run scope, whose
+        ``np.errstate`` covers the overflow.
         """
-        xi = self._rng.standard_normal(values.shape)
-        noisy = values * (1.0 + self.noise_rho * xi)
+        k, i = values.size, self._next
+        if i + k > self._factors.size:
+            rest = self._factors[i:]
+            xi = self._rng.standard_normal(max(_NOISE_BUFFER, k - rest.size))
+            self._factors = np.concatenate((rest, 1.0 + self.noise_rho * xi))
+            i = 0
+        self._next = i + k
+        noisy = values * self._factors[i : i + k].reshape(values.shape)
         if not _finite(noisy):
             raise _overflow(self.name, noisy, x)
         return noisy

@@ -19,6 +19,7 @@ steps, and an exhaustive grid search used as a test oracle
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +151,15 @@ def _min_norm_rows(G):
 
 def _two_weights(G):
     """The weights [lam1, 1 - lam1] of the min-norm point of G's two rows."""
-    g1, g2 = G
-    diff = g1 - g2
+    g2 = G[1]
+    diff = G[0] - g2
     denom = float(diff.dot(diff))
     if denom == 0.0:
         lam1 = 1.0
     else:
-        lam1 = min(1.0, max(0.0, float(g2.dot(g2 - g1)) / denom))
+        # -(g2 . diff) is g2 . (g2 - g1) bit for bit, since rounding is
+        # sign-symmetric; a -0 numerator is a 0 weight, as +0 is.
+        lam1 = min(1.0, max(0.0, -float(g2.dot(diff)) / denom))
     # No _finish: lam1 is in [0, 1] and lam1 + (1 - lam1) rounds to exactly
     # 1, so its clamp and renormalization would leave lam as it is.
     return np.array([lam1, 1.0 - lam1])
@@ -195,14 +198,21 @@ def min_norm_element(G, tol=DEFAULT_TOL):
     that bound by more than rounding.  In exact arithmetic it ends after
     finitely many steps, at the exact minimizer.
 
+    A non-empty 2-d float64 G is checked by the max|G| that scales it,
+    and by :func:`_check_matrix` only where that max is not finite; any
+    other G is converted and checked by :func:`_check_matrix` first.
+
     Raises :class:`ConvergenceError` carrying the last iterate (the norm
     never increases along the iterates) if the steps exceed ten per row,
     which only rounding can cause, and :class:`InputError` for bad inputs.
     """
     _check_positive(tol, "tol")
-    G = _check_matrix(G)
+    if type(G) is not np.ndarray or G.dtype.char != "d" or G.ndim != 2 or not G.size:
+        G = _check_matrix(G)
     m = G.shape[0]
     scale = float(np.abs(G).max(initial=0.0))
+    if not math.isfinite(scale):  # nan or inf if an entry is
+        _check_matrix(G)
     if scale == 0.0:
         # All-zero gradients: every convex combination is the zero vector.
         return _finish(G, np.full(m, 1.0 / m), 0)
@@ -246,10 +256,10 @@ def solve_direction(G, tol=DEFAULT_TOL):
 
     Two objectives take the exact closed form; larger instances run
     Wolfe's active-set method.  Each route checks a float64 G once, as a
-    run's ``jacobian`` returns it: the closed form by its scale test, and
-    :func:`_check_matrix` where that test fails; Wolfe's method by
-    :func:`_check_matrix`.  Any other G is first converted and checked by
-    :func:`_check_matrix`.
+    run's ``jacobian`` returns it, by the max|G| it takes anyway, and
+    :func:`_check_matrix` where that max is out of range (the closed form)
+    or not finite (Wolfe's method).  Any other G is first converted and
+    checked by :func:`_check_matrix`.
     """
     if type(G) is not np.ndarray or G.dtype.char != "d":
         G = _check_matrix(G)

@@ -1,5 +1,6 @@
 """Tests for the problem abstraction, counters, and the noise wrapper."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from mograd import (
     run_descent,
     wrap_noisy,
 )
-from mograd.problems import _finite
+from mograd.problems import _NOISE_BUFFER, _finite, run_scope
 from mograd.suite import SCALAR_PROBLEMS
 
 
@@ -284,6 +285,11 @@ class TestNoiseWrapper:
         # The base's exact phi would hide the noise.
         assert not hasattr(noisy, "phi")
 
+    @pytest.mark.parametrize("spec", [0.05, {"rho": 0.05, "seed": 0}, None, (0.05, 0)])
+    def test_spec_must_be_a_noise_spec(self, reg_rosenbrock, spec):
+        with pytest.raises(InputError, match="NoiseSpec"):
+            wrap_noisy(reg_rosenbrock, spec)
+
     def test_negative_rho_rejected(self):
         with pytest.raises(InputError):
             NoiseSpec(rho=-0.1)
@@ -386,3 +392,58 @@ class TestNoiseWrapper:
         assert rec.status == RunStatus.FAILED
         assert rec.gradient_evals == 4
         assert "gradient entry (1, 0) is non-finite" in rec.failure_reason
+
+
+def _stream_base(n, m=3):
+    """Values of either sign, but x[0] == 1e3 makes one inf and x[0] == -1e3 all 1.7e308."""
+
+    def output(x, shape):
+        if x[0] == -1e3:
+            return np.full(shape, 1.7e308)
+        y = np.cos(np.arange(np.prod(shape)) + x.sum()).reshape(shape)
+        if x[0] == 1e3:
+            y.flat[-1] = np.inf
+        return y
+
+    return MultiObjectiveProblem(
+        "STREAM", n, m, np.zeros(n), lambda x: output(x, (m,)), lambda x: output(x, (m, n))
+    )
+
+
+class TestNoiseStream:
+    """A wrap replays ``values * (1 + rho * xi)``, xi drawn call by call from the seed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 2000])
+    @pytest.mark.parametrize("rho", [0.05, 2])
+    def test_replays_a_fresh_generator_call_by_call(self, n, rho):
+        seed = 17
+        base = _stream_base(n)
+        noisy = wrap_noisy(base, NoiseSpec(rho, seed))
+        reference = np.random.default_rng(seed)
+        picker = np.random.default_rng(n)
+        outcomes = {"drawn": 0, "base overflow": 0, "noise overflow": 0}
+        # Enough calls for two refills or more, at least two of each overflow.
+        for call in range(4 * _NOISE_BUFFER // (base.m * n) + 100):
+            oracle = ("evaluate", "jacobian")[int(picker.integers(2))]
+            x = picker.normal(size=n)
+            x[0] = {13: 1e3, 7: -1e3}.get(call % 50, x[0])
+            in_run = bool(picker.integers(2))
+            try:
+                values = getattr(base, oracle)(x)
+            except EvaluationOverflowError:
+                # A non-finite base value raises before any draw.
+                expected = None
+            else:
+                with np.errstate(over="ignore"):
+                    expected = values * (1.0 + rho * reference.standard_normal(values.shape))
+                outcomes["drawn"] += values.size
+            with run_scope() if in_run else contextlib.nullcontext():
+                if expected is not None and np.isfinite(expected).all():
+                    out = getattr(noisy, oracle)(x)
+                    assert out.tobytes() == expected.tobytes()
+                    continue
+                with pytest.raises(EvaluationOverflowError):
+                    getattr(noisy, oracle)(x)
+            outcomes["base overflow" if expected is None else "noise overflow"] += 1
+        assert outcomes["drawn"] > 2 * _NOISE_BUFFER
+        assert outcomes["base overflow"] > 0 and outcomes["noise overflow"] > 0

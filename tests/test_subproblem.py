@@ -260,6 +260,17 @@ class TestMinNormElement:
         with pytest.raises(InputError, match=r"g2 has shape \(3,\), expected \(2,\)"):
             min_norm_two(np.ones(2), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_matrix_rejected_by_the_rule(self, bad):
+        # The max|G| that scales a float64 G checks it; a non-finite one
+        # sends G to the rule, whose error is raised.
+        G = np.ones((3, 4))
+        G[2, 3] = bad
+        with pytest.raises(InputError, match="gradient matrix contains non-finite entries"):
+            min_norm_element(G)
+        with pytest.raises(InputError, match=r"has shape \(2, 2, 2\), expected \(None, None\)"):
+            min_norm_element(np.ones((2, 2, 2)))
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0), (0, 0)])
     def test_empty_jacobian_rejected(self, shape):
         for solve in (min_norm_element, solve_direction):
@@ -578,10 +589,12 @@ class TestSolveDirection:
         monkeypatch.setattr(subproblem, "min_norm_element", counted_solve)
         G = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
         solve_direction(G, tol=1e-12)
-        assert calls == [(3, 2)]
+        # A finite max|G|, which scales G anyway, is the only check.
+        assert calls == []
         assert solves == [1e-12]
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="non-finite"):
             solve_direction(np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 2.0]]))
+        assert calls == [(3, 2)]
 
 
 def _closed_form_reference(G):
@@ -600,12 +613,39 @@ def _closed_form_reference(G):
     return lam, g, float(g @ g)
 
 
+def _orthogonal_step_rows(n, rng):
+    """Rows with g2 . (g1 - g2) exactly +-0: small integers times powers of two.
+
+    g2 and g1 - g2 sit on disjoint entries, so every product is +-0 and
+    one formula's zero numerator can be -0 where the other's is +0; for
+    n >= 2, also (a, b) against (b, -a) in two entries.
+    """
+    cases = []
+    for _ in range(50):
+        g2 = np.zeros(n)
+        step = np.zeros(n)
+        cut = int(rng.integers(0, n + 1))
+        g2[:cut] = rng.integers(-4, 5, size=cut)
+        step[cut:] = rng.integers(-4, 5, size=n - cut)
+        if n >= 2:
+            a, b = rng.integers(-4, 5, size=2)
+            i, j = rng.choice(n, size=2, replace=False)
+            g2[[i, j]], step[[i, j]] = (a, b), (b, -a)
+        perm = rng.permutation(n)
+        unit = 2.0 ** int(rng.integers(-400, 400))
+        cases.append(np.array([(g2 + step)[perm], g2[perm]]) * unit)
+    for G in cases:
+        g1, g2 = G
+        assert float(g2 @ (g1 - g2)) == 0.0
+    return cases
+
+
 class TestClosedFormBits:
     """The m = 2 closed form skips _finish; its records must not move."""
 
     def test_matches_the_finish_formula(self, rng):
         cases = []
-        for n in (2, 10):
+        for n in (1, 2, 10, 25):
             for _ in range(1000):
                 # Row scales drawn apart, 1e-150 .. 1e150, so that one row
                 # can dwarf the other and lam1 reaches both ends.
@@ -614,12 +654,28 @@ class TestClosedFormBits:
             g = rng.normal(size=n) * 10.0 ** rng.uniform(-150, 150)
             cases += [np.array([g, g]), np.array([g, -g]), np.array([g, 3.0 * g])]
             cases += [np.array([g, np.zeros(n)]), np.zeros((2, n))]
+            cases += _orthogonal_step_rows(n, rng)
         for G in cases:
             sol = solve_direction(G)
             lam, g, omega = _closed_form_reference(G)
             assert sol.weights.tobytes() == lam.tobytes()
             assert sol.gradient.tobytes() == g.tobytes()
             assert np.float64(sol.omega).tobytes() == np.float64(omega).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 25])
+    def test_negated_difference_is_the_same_numerator(self, n, rng):
+        # g2 . (g2 - g1) == -(g2 . (g1 - g2)) bit for bit, a zero up to its
+        # sign, with entries 1e-170 .. 1e150 so that products go subnormal.
+        subnormal = 0
+        for _ in range(2000):
+            g1, g2 = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-170, 150, size=(2, 1))
+            tiny = np.abs(g2 * (g1 - g2))
+            subnormal += int(((tiny > 0.0) & (tiny < np.finfo(float).tiny)).sum())
+            for dot in (np.dot, np.matmul):
+                a = float(dot(g2, g2 - g1))
+                b = -float(dot(g2, g1 - g2))
+                assert np.float64(a).tobytes() == np.float64(b).tobytes() or a == b == 0.0
+        assert subnormal > 0
 
     @pytest.mark.parametrize(
         "lam1",
