@@ -16,7 +16,7 @@ import numpy as np
 
 from .adagrad import SolverConfig, _drive
 from .problems import EvaluationOverflowError, InputError, LineSearchError
-from .problems import _check_array, _check_x, _finite, _public
+from .problems import _check_array, _check_x, _finite, _in_run, _public
 
 # Not called here: perfbench/spans.py patches descent.solve_direction.
 from .subproblem import solve_direction  # noqa: F401
@@ -24,12 +24,22 @@ from .subproblem import solve_direction  # noqa: F401
 MIN_STEP = 2.0**-50
 
 # The steps t = 1, 1/2, ..., MIN_STEP as Python floats, which the
-# per-candidate loop walks, and the two blocks a row oracle tests them in:
-# 1 to 2**-7, then the rest.  ARWHEAD-VARDIM and BROWNAL-VARDIM descent
-# (budget 2 000) took 0.46 s so, 0.51 s with one block of every step and
-# 0.83 s with blocks doubling from one row (2-core Xeon).
+# per-candidate loop walks, and as one array, which a row oracle tests in
+# two blocks: t = 1 down to one step past the smaller of the steps that the
+# run's last two block searches accepted, and at least to 2**-7
+# (_FIRST_BLOCK steps), then the rest.  A run's searches mostly accept
+# where one of the last two did (steepest descent zigzags), so a search is
+# mostly one block call.  Descent at budget 2 000, in minimum seconds over
+# 12 runs (2-core Xeon), with blocks of 8 and 43 steps, row forms for the
+# 10-variable families only and a Python loop of per-row dots -> the same
+# blocks, every family's row form and np.vecdot -> the first block sized
+# from the last search -> from the last two: ARWHEAD-VARDIM 0.31 -> 0.22 ->
+# 0.15 -> 0.16, ZANGWIL2-WAYSEA1 0.30 -> 0.21 -> 0.12 -> 0.13, WAYSEA1-L2
+# (whose searches alternate between 10 and 13 steps) 0.17 -> 0.16 -> 0.12
+# -> 0.09, ROSENBR-WAYSEA1 0.050 -> 0.063 -> 0.043 -> 0.032.
 _STEPS = np.ldexp(1.0, -np.arange(int(-math.log2(MIN_STEP)) + 1)).tolist()
-_BLOCKS = (np.array(_STEPS[:8]), np.array(_STEPS[8:]))
+_STEP_ARRAY = np.array(_STEPS)
+_FIRST_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -83,11 +93,13 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
     A problem with a row oracle (``MultiObjectiveProblem(..., rows=...)``)
     has its candidates tested a block at a time instead, each block in one
     call (``MultiObjectiveProblem._armijo_rows``), by that array test: t = 1
-    to 2**-7, then 2**-8 to ``MIN_STEP``.  Only the rows up to the first
-    that passes are counted, checked and stored in the run memo, so ``t``,
-    ``used``, the point, the counters and any error are the per-candidate
-    loop's.  Every other problem, a noisy or duck-typed one included, runs
-    that loop.
+    down to one step past the smaller of the steps that the run's last two
+    such searches accepted, and at least to 2**-7, then the rest down to
+    ``MIN_STEP``.  Only the rows up to the first that passes are counted,
+    checked and stored in the run memo, so ``t``, ``used``, the point, the
+    counters and any error are the per-candidate loop's, whatever the
+    partition.  Every other problem, a noisy or duck-typed one included,
+    runs that loop.
     """
     # In a run, the driver searches only along a finite direction with
     # omega above tol^2, so g_s is finite and nonzero, and grads is finite.
@@ -105,10 +117,19 @@ def armijo_backtrack(problem, x, g_s, grads, beta):
         )
     used = 1
     if getattr(problem, "_rows", None) is not None:
-        for ts in _BLOCKS:
+        # The scope keeps the evaluations that its last two block searches
+        # used: each is the size of a block to one step past its accepted t.
+        scope = _in_run()
+        last, before = scope.search_evals
+        size = max(_FIRST_BLOCK, last, before)
+        for ts in (_STEP_ARRAY[:size], _STEP_ARRAY[size:]):
+            if not ts.size:
+                break
             i, point = problem._armijo_rows(x, g_s, ts, fx, margin)
             if point is not None:
-                return float(ts[i]), used + i + 1, point
+                used += i + 1
+                scope.search_evals = (used, last)
+                return float(ts[i]), used, point
             used += len(ts)
     else:
         fx, margin = fx.tolist(), margin.tolist()

@@ -179,9 +179,14 @@ class run_scope:
     public call outside a run has a scope of its own that keeps nothing
     (:class:`_call_scope`).  Within a run, neither a point nor a stored
     value may be changed in place; the drivers never do either.
+
+    ``search_evals`` holds the objective evaluations that the scope's last
+    two block line searches used, the last first, and (0, 0) before any;
+    only :func:`~mograd.descent.armijo_backtrack` reads and writes it, to
+    size its first block.
     """
 
-    __slots__ = ("x", "values", "_token", "_errstate")
+    __slots__ = ("x", "values", "search_evals", "_token", "_errstate")
 
     def value(self, owner, x, compute):
         """``owner``'s value at the point ``x``: the stored one, or ``compute(x)``.
@@ -201,6 +206,7 @@ class run_scope:
 
     def __enter__(self):
         self.x = None
+        self.search_evals = (0, 0)
         self._token = _RUN.set(self)
         self._errstate = np.errstate(all="ignore")
         self._errstate.__enter__()
@@ -306,15 +312,17 @@ class MultiObjectiveProblem:
 
     A row form is bit for bit its one-point oracle only if it follows
     three rules, which the catalog's row forms keep (:mod:`mograd.suite`:
-    ARWHEAD, VARDIM, BROWNAL and the ``||x||^2`` regulariser, so the six
-    instances built from two of them have a row oracle):
+    every scalar family and the ``||x||^2`` regulariser, so all 16
+    two-part instances have a row oracle):
 
     * a power the one-point oracle takes of a numpy scalar (libm ``pow``)
       is taken entry by entry with Python's float ``**``, the same
-      ``pow``, with its ``OverflowError`` read as inf; numpy's array
-      ``**`` rounds differently;
-    * a dot product stays one ``dot`` per row: a matrix product, or a
-      sum of the products, rounds differently;
+      ``pow``, with its ``OverflowError`` read as numpy's inf (-inf for
+      an odd power of a negative entry); numpy's array ``**`` rounds
+      differently;
+    * a dot product stays one ``dot`` per row, as ``np.vecdot`` of the
+      block takes it, whose float64 loop calls the 1-d ``dot``; a matrix
+      product (``@``), or a sum of the products, rounds differently;
     * a ``sum`` or ``prod`` of a point's entries may be taken along the
       rows of a C-contiguous block (``axis=1``), which folds each row as
       the 1-d call does.
@@ -381,10 +389,13 @@ class MultiObjectiveProblem:
         :class:`EvaluationOverflowError`, and the accepted point's row
         becomes the run memo's value there.  Called inside a run only.
         """
-        points = x - ts[:, None] * g_s
+        t = ts[:, None]
+        points = x - t * g_s
         Y = _floats(self.name, "rows", self._rows(points), (len(ts), self.m))
-        passed = (Y <= fx - ts[:, None] * margin).all(axis=1)
-        i = int(passed.argmax()) if passed.any() else len(ts) - 1
+        passed = (Y <= fx - t * margin).all(axis=1)
+        i = int(passed.argmax())
+        if not passed[i]:
+            i = len(ts) - 1
         counted = Y[: i + 1]
         if not _finite(counted):
             i = int(np.isfinite(counted).all(axis=1).argmin())

@@ -196,7 +196,11 @@ def min_norm_element(G, tol=DEFAULT_TOL):
     when every row has (M lam)_j >= lam^T M lam - tol * max_j M_jj, or when
     the minimizing row is already in the support, so that no row misses
     that bound by more than rounding.  In exact arithmetic it ends after
-    finitely many steps, at the exact minimizer.
+    finitely many steps, at the exact minimizer.  Where the final support
+    is two rows and omega from G is out of range, the weights of those rows
+    are the m = 2 closed form's on G / max|G|, so that two rows cancelling
+    at a large scale give the omega that :func:`solve_direction`'s m = 2
+    route gives them, not inf from the rounding of the solve.
 
     A non-empty 2-d float64 G is checked by the max|G| that scales it,
     and by :func:`_check_matrix` only where that max is not finite; any
@@ -233,7 +237,15 @@ def min_norm_element(G, tol=DEFAULT_TOL):
             j = int(np.argmin(inner))
             # A support row misses lam^T M lam only by the solve's rounding.
             if support[j] or inner[j] >= lam @ inner - slack:
-                return _finish(G, lam, k)
+                sol = _finish(G, lam, k)
+                if not math.isfinite(sol.omega) and len(s) == 2:
+                    # Two rows that cancel at a large scale: the rounding of
+                    # the solve's weights can put omega out of range.  Take
+                    # them from the m = 2 closed form on G / max|G|, as
+                    # solve_direction's m = 2 route does.
+                    lam[s] = _two_weights(Gs[s])
+                    sol = _finish(G, lam, k)
+                return sol
             support[j] = True
         else:
             # Move toward mu until the first weight reaches zero; drop it.

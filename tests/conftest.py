@@ -8,10 +8,13 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# The catalog instances with a row oracle: both parts have a row form.
+# The catalog instances with a row oracle: every two-part instance, since
+# every part has a row form.
 ROW_NAMES = [
     "ARWHEAD-L2", "ARWHEAD-VARDIM", "BROWNAL-ARWHEAD", "BROWNAL-L2",
-    "BROWNAL-VARDIM", "VARDIM-L2",
+    "BROWNAL-VARDIM", "CUBE-L2", "ROSENBR-CUBE", "ROSENBR-L2", "ROSENBR-WAYSEA1",
+    "VARDIM-L2", "WAYSEA1-CUBE", "WAYSEA1-L2", "ZANGWIL2-CUBE", "ZANGWIL2-L2",
+    "ZANGWIL2-ROSENBR", "ZANGWIL2-WAYSEA1",
 ]
 
 

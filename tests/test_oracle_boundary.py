@@ -57,18 +57,38 @@ def _count(monkeypatch, cls, name, calls):
     monkeypatch.setattr(cls, name, counted)
 
 
+def _count_rows(monkeypatch, calls):
+    # The objective evaluations each block line search counts.
+    original = MultiObjectiveProblem._armijo_rows
+
+    def counted(self, *args):
+        before = self.counters.objective_evals
+        try:
+            return original(self, *args)
+        finally:
+            calls[("MultiObjectiveProblem", "rows")] += self.counters.objective_evals - before
+
+    monkeypatch.setattr(MultiObjectiveProblem, "_armijo_rows", counted)
+
+
 @pytest.mark.parametrize("solver", ["adagrad", "descent"])
 @pytest.mark.parametrize("rho", [0.0, 0.05])
 @pytest.mark.parametrize("name", ["MOP1", "ZANGWIL2-ROSENBR"])
 def test_drivers_call_the_public_oracles(monkeypatch, name, solver, rho):
+    # MOP1 has no row oracle, and a noisy wrap hides one, so their line
+    # searches call evaluate once a candidate; a bare ZANGWIL2-ROSENBR's
+    # test their candidates a block at a time.
     calls = Counter()
     for cls in (MultiObjectiveProblem, NoisyProblem):
         for oracle in ("evaluate", "jacobian"):
             _count(monkeypatch, cls, oracle, calls)
+    _count_rows(monkeypatch, calls)
     rec = harness.run_cell(name, solver, seed=1, rho=rho, budget=300)
     assert rec.gradient_evals > 1
     assert (rec.objective_evals > 0) == (solver == "descent")
-    assert calls[("MultiObjectiveProblem", "evaluate")] == rec.objective_evals
+    rows = calls[("MultiObjectiveProblem", "rows")]
+    assert (rows > 0) == (solver == "descent" and not rho and name != "MOP1")
+    assert calls[("MultiObjectiveProblem", "evaluate")] + rows == rec.objective_evals
     assert calls[("MultiObjectiveProblem", "jacobian")] == rec.gradient_evals
     # rho = 0 runs on the bare problem, with no wrapper in between.
     wrapped = (rec.objective_evals, rec.gradient_evals) if rho else (0, 0)
@@ -288,8 +308,69 @@ def _search(problem, x, g_s, grads, beta):
     return out, problem.counters.objective_evals - before
 
 
+def _scoped_search(problem, args, search_evals):
+    """A line search in a run scope whose last two block searches used ``search_evals``.
+
+    Returns the outcome, with the bits of the point and of the value the
+    memo holds there, and the objective evaluations the search counted.
+    """
+    with run_scope() as scope:
+        scope.search_evals = search_evals
+        before = problem.counters.objective_evals
+        try:
+            t, used, point = descent.armijo_backtrack(problem, *args)
+            out = (t, used, point.tobytes(), scope.x is point, scope.values[problem].tobytes())
+        except (LineSearchError, EvaluationOverflowError) as exc:
+            out = (type(exc), str(exc), getattr(exc, "index", None))
+        return out, problem.counters.objective_evals - before
+
+
 class TestRowOracle:
     """Candidates tested a block at a time through a row oracle: every record as one at a time."""
+
+    @pytest.mark.parametrize("name", ROW_NAMES)
+    def test_block_partition_is_invisible(self, monkeypatch, name):
+        # The same problem without its row oracle runs the per-candidate
+        # loop: each search must end as that loop does, whatever the size
+        # of the first block.
+        def outcomes(args, hints):
+            loop = get_problem(name)
+            loop._rows = None
+            want = _scoped_search(loop, args, (0, 0))
+            return want, [_scoped_search(get_problem(name), args, k) for k in hints]
+
+        # Every search of a run, with the hint the run gave it.
+        searches = []
+        search = descent.armijo_backtrack
+
+        def recorded(*args):
+            searches.append((args[1:], _in_run().search_evals))
+            return search(*args)
+
+        monkeypatch.setattr(descent, "armijo_backtrack", recorded)
+        run_descent(get_problem(name), config=DescentConfig(gradient_budget=40))
+        monkeypatch.setattr(descent, "armijo_backtrack", search)
+        assert searches
+        for args, hint in searches:
+            want, got = outcomes(args, [hint])
+            assert got == [want]
+
+        # Searches from the start at every first-block size, 1 to 51: run
+        # steps stretched to backtrack far, an uphill one, and a first
+        # candidate whose values overflow.
+        monkeypatch.setattr(descent, "_FIRST_BLOCK", 1)
+        p = get_problem(name)
+        x = p.standard_start
+        grads = p.jacobian(x)
+        d = solve_direction(grads).gradient
+        ends = Counter()
+        for g_s in (d, np.ldexp(d, 12), np.ldexp(d, 30), -d, np.full(p.n, -1e160)):
+            sizes = range(1, len(descent._STEPS) + 1)
+            want, got = outcomes((x, g_s, grads, 0.1), [(k, 0) for k in sizes])
+            assert got == [want] * len(got)
+            (t, used, *_), _ = want
+            ends[t if isinstance(t, type) else used > 8] += 1
+        assert ends[True] and ends[EvaluationOverflowError]
 
     @pytest.mark.parametrize("name", ROW_NAMES)
     def test_runs_match_a_view_without_row_oracle(self, name):
@@ -372,6 +453,8 @@ class TestRowOracle:
             stretch=st.one_of(st.none(), st.integers(0, 40)),
         )
         def check(name, x, g_s, grads, beta, stretch):
+            n = get_problem(name).n
+            x, g_s, grads = x[:n], g_s[:n], grads[:, :n]
             if stretch is not None:
                 # A run's search: the min-norm direction at x, stretched by
                 # 2**stretch so that it backtracks about that many times.

@@ -157,10 +157,8 @@ class TestMinNormElement:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_large_cancelling_rows_do_not_warn(self, m):
-        # The exact minimizer is 0 at weights [0.5, 0.5(, 0)].  The weights'
-        # rounding leaves a residue of about 1e-16 max|G| in g, so omega may
-        # overflow to inf, as on the m = 2 closed form's out-of-range route;
-        # it is not pinned here.
+        # The exact minimizer is 0 at weights [0.5, 0.5(, 0)]; the test
+        # below pins omega.
         G = np.array([[5e169, 0, 0, 1e170], [-5e169, 0, 0, -1e170], [1e170, 0, 0, 1e170]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -168,6 +166,20 @@ class TestMinNormElement:
         assert sol.weights.min() >= 0.0
         assert sol.weights.sum() == pytest.approx(1.0)
         assert_allclose(sol.weights, [0.5, 0.5, 0.0][:m], atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_large_cancelling_rows_are_critical(self, m):
+        # The solve's weights for the two opposite rows round apart from
+        # [0.5, 0.5], which at this scale puts omega out of range; the
+        # m = 2 closed form on G / max|G| gives the exact minimizer.
+        G = np.array([[5e169, 0, 0, 1e170], [-5e169, 0, 0, -1e170], [1e170, 0, 0, 1e170]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = min_norm_element(G[:m])
+            two = solve_direction(G[:2])
+        assert sol.omega == two.omega == 0.0
+        assert not sol.gradient.any()
+        assert sol.weights.tolist() == two.weights.tolist() + [0.0] * (m - 2)
 
     def test_zero_matrix_degenerate(self):
         G = np.zeros((3, 4))

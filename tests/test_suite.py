@@ -1,5 +1,6 @@
 """Tests for the problem catalog: formulas, gradients, and construction."""
 
+import math
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from mograd import (
     run_descent,
     solve_direction,
 )
+from mograd.suite import _powers
 
 ALL_NAMES = sorted(CATALOG)
 
@@ -271,12 +273,12 @@ class TestRowForms:
                 st.one_of(st.integers(-2, 1), st.integers(-200, 200)),
             ),
         )
-        blocks = st.integers(1, 12).flatmap(
-            lambda k: hnp.arrays(float, (k, 10), elements=entry)
+        blocks = st.tuples(st.integers(1, 12), st.sampled_from([2, 10])).flatmap(
+            lambda shape: hnp.arrays(float, shape, elements=entry)
         )
         pairs = [get_problem(name) for name in ROW_NAMES]
         scalars = [p for p in SCALAR_PROBLEMS.values() if p.rows is not None]
-        assert [p.name for p in scalars] == ["ARWHEAD", "VARDIM", "BROWNAL"]
+        assert [p.name for p in scalars] == list(SCALAR_PROBLEMS)
         overflowed = []
 
         @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
@@ -301,15 +303,28 @@ class TestRowForms:
         ]))
         @hypothesis.example(X=np.full((2, 10), 1e200))
         @hypothesis.example(X=np.array([[1e-200] * 10, [-3e77] + [1.0] * 9]))
+        # The same for WAYSEA1, CUBE, ROSENBR and ZANGWIL2, one row each.
+        @hypothesis.example(X=np.array([
+            [0.5257444245291603, 1.7398443767466012],
+            [1.156361389125296, -0.7776467826913],
+            [0.27036932878824915, 1.698836726555757],
+            [2.7635754200057825, 13.397840336729423],
+        ]))
+        # CUBE's x0**3 overflows to -inf, and to inf.
+        @hypothesis.example(X=np.array([[-1e103, 1.0], [1e103, 1.0], [0.0, 0.0]]))
         def check(X):
             with np.errstate(all="ignore"):
                 for p in scalars:
+                    if p.n != X.shape[1]:
+                        continue
                     Y = p.rows(X)
                     assert Y.shape == (len(X),)
                     for x, y in zip(X, Y):
                         assert _bits(y) == _bits(p.value(x.copy()))
                         overflowed.append(np.isinf(y))
                 for p in pairs:
+                    if p.n != X.shape[1]:
+                        continue
                     Y = p._rows(X)
                     assert Y.shape == (len(X), 2)
                     for x, y in zip(X, Y):
@@ -317,6 +332,28 @@ class TestRowForms:
 
         check()
         assert any(overflowed) and not all(overflowed)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 6])
+    def test_powers_are_numpy_scalar_powers(self, p):
+        # libm pow entry by entry, with a numpy scalar's overflow: inf, or
+        # -inf for an odd power of a negative entry.
+        a = np.array([-1e103, 1e103, -1e200, 3.0, -0.1, 0.0, 1.7398443767466012])
+        with np.errstate(over="ignore"):
+            want = [np.float64(v) ** p for v in a]
+        assert _bits(_powers(a, p)) == _bits(want)
+        assert math.isinf(want[2]) and (want[2] < 0) == (p % 2 == 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 16, 17, 33])
+    def test_vecdot_is_one_dot_a_row(self, n):
+        # The row forms' dot rule: np.vecdot of a block with a vector, or
+        # with itself, is the 1-d dot of each row, bit for bit.  A matrix
+        # product is not (gemv sums in another order).
+        rng = np.random.default_rng(n)
+        for exponent in range(-150, 151, 10):
+            X = rng.normal(size=(40, n)) * 10.0 ** rng.uniform(exponent - 3, exponent + 3, (40, n))
+            for v in (rng.normal(size=n) * 10.0**-exponent, np.arange(1.0, n + 1)):
+                assert _bits(np.vecdot(X, v)) == _bits([x.dot(v) for x in X])
+            assert _bits(np.vecdot(X, X)) == _bits([x.dot(x) for x in X])
 
 
 class TestOverflow:
